@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdp_ad::estimator::{estimate_derivative, estimate_derivative_batched};
-use qdp_ad::GradientEngine;
+use qdp_ad::{GradientEngine, Mode, Query};
 use qdp_lang::ast::Params;
-use qdp_sim::{ShotSampler, StateVector};
+use qdp_sim::{BatchedStates, ShotSampler, StateVector};
 use qdp_vqc::circuits::p1;
 use qdp_vqc::task;
 use std::collections::BTreeMap;
@@ -51,8 +51,10 @@ fn bench_estimator(c: &mut Criterion) {
             ))
         })
     });
+    let forward = Query::value(params.clone(), obs.clone(), Mode::Shots(shots));
+    let row = BatchedStates::gather(&[&psi]);
     group.bench_function("shot-based forward value (4096 shots)", |b| {
-        b.iter(|| black_box(engine.value_pure_shots(&params, &obs, &psi, shots, 7)))
+        b.iter(|| black_box(engine.evaluate(&forward, &row, &[7])))
     });
     group.finish();
 }

@@ -486,8 +486,10 @@ fn main() {
     let meas_shots = 1024usize;
     let meas_psi = &p2_inputs[0];
     let meas_diff = p2_diffs[0];
-    let sampled_block =
-        || estimate_derivative_batched(meas_diff, &p2_params, &obs, meas_psi, meas_shots, 9);
+    let sampled_block = || {
+        estimate_derivative_batched(meas_diff, &p2_params, &obs, meas_psi, meas_shots, 9)
+            .expect("healthy estimate")
+    };
     let sampled_serial = || {
         let mut sampler = ShotSampler::seeded(9);
         estimate_derivative(meas_diff, &p2_params, &obs, meas_psi, meas_shots, &mut sampler)

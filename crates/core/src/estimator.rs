@@ -156,6 +156,11 @@ pub fn estimate_derivative(
 ///
 /// Returns 0 when the derivative multiset is empty.
 ///
+/// # Errors
+///
+/// Returns [`qdp_sim::QdpError::WorkerPanic`] when a shot tile panicked
+/// and the bounded bit-identical retries did not heal it.
+///
 /// # Panics
 ///
 /// Panics when `shots` is zero or a used parameter has no value.
@@ -166,7 +171,7 @@ pub fn estimate_derivative_batched(
     psi: &StateVector,
     shots: usize,
     seed: u64,
-) -> f64 {
+) -> Result<f64, qdp_sim::QdpError> {
     PreparedDerivativeEstimator::new(diff, params, obs).estimate(psi, shots, seed)
 }
 
@@ -259,19 +264,12 @@ impl PreparedDerivativeEstimator {
     /// [`Differentiated::derivative_pure`]'s per-row enumeration to
     /// numerical precision, and is bit-for-bit deterministic under any
     /// thread count.
-    pub fn exact(&self, psi: &StateVector) -> f64 {
-        self.try_exact(psi).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`exact`](Self::exact): worker-panic exhaustion
-    /// surfaces as a typed [`qdp_sim::QdpError::WorkerPanic`] instead of a
-    /// panic.
     ///
     /// # Errors
     ///
     /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a program's tile
     /// panicked and the bounded bit-identical retries did not heal it.
-    pub fn try_exact(&self, psi: &StateVector) -> Result<f64, qdp_sim::QdpError> {
+    pub fn exact(&self, psi: &StateVector) -> Result<f64, qdp_sim::QdpError> {
         let ext_psi = StateVector::zero_state(1).tensor(psi);
         // Engines are pure per call, so a panicked tile retries
         // bit-identically before the failure is surfaced.
@@ -279,25 +277,13 @@ impl PreparedDerivativeEstimator {
             &self.engines,
             |engine| engine.expectation_sweep(BatchedStates::repeat(&ext_psi, 1), &self.ext_obs)[0],
             TILE_RETRIES,
-        )
-        .map_err(qdp_sim::QdpError::from)?
+        )?
         .into_iter()
         .sum())
     }
 
     /// One batched derivative estimate — identical bits to
     /// [`estimate_derivative_batched`] with the same arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shots` is zero.
-    pub fn estimate(&self, psi: &StateVector, shots: usize, seed: u64) -> f64 {
-        self.try_estimate(psi, shots, seed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`estimate`](Self::estimate) — same contract as
-    /// [`try_exact`](Self::try_exact).
     ///
     /// # Errors
     ///
@@ -307,7 +293,7 @@ impl PreparedDerivativeEstimator {
     /// # Panics
     ///
     /// Panics when `shots` is zero.
-    pub fn try_estimate(
+    pub fn estimate(
         &self,
         psi: &StateVector,
         shots: usize,
@@ -354,8 +340,7 @@ impl PreparedDerivativeEstimator {
                     .sum::<f64>();
             }
             acc
-        }, TILE_RETRIES)
-        .map_err(qdp_sim::QdpError::from)?;
+        }, TILE_RETRIES)?;
         Ok(m as f64 * tile_sums.into_iter().sum::<f64>() / shots as f64)
     }
 }
@@ -503,7 +488,7 @@ mod tests {
         let obs = Observable::pauli_z(1, 0);
         let psi = StateVector::zero_state(1);
         let exact = diff.derivative_pure(&params, &obs, &psi);
-        let estimate = estimate_derivative_batched(&diff, &params, &obs, &psi, 80_000, 7);
+        let estimate = estimate_derivative_batched(&diff, &params, &obs, &psi, 80_000, 7).unwrap();
         assert!(
             (estimate - exact).abs() < 0.05,
             "estimate {estimate} vs exact {exact}"
@@ -522,7 +507,8 @@ mod tests {
         let obs = Observable::pauli_z(1, 0);
         let psi = StateVector::zero_state(1);
         let exact = diff.derivative_pure(&params, &obs, &psi);
-        let estimate = estimate_derivative_batched(&diff, &params, &obs, &psi, 120_000, 77);
+        let estimate =
+            estimate_derivative_batched(&diff, &params, &obs, &psi, 120_000, 77).unwrap();
         assert!(
             (estimate - exact).abs() < 0.06,
             "estimate {estimate} vs exact {exact}"
@@ -541,7 +527,8 @@ mod tests {
             &StateVector::zero_state(1),
             10,
             1,
-        );
+        )
+        .unwrap();
         assert_eq!(est, 0.0);
     }
 
@@ -561,7 +548,7 @@ mod tests {
             let prepared = PreparedDerivativeEstimator::new(&diff, &params, &obs);
             for k in 0..2usize {
                 let psi = StateVector::basis_state(1, k);
-                let exact = prepared.exact(&psi);
+                let exact = prepared.exact(&psi).unwrap();
                 let oracle = diff.derivative_pure(&params, &obs, &psi);
                 assert!(
                     (exact - oracle).abs() < 1e-12,
@@ -578,7 +565,9 @@ mod tests {
         let params = Params::from_pairs([("t", 0.9)]);
         let obs = Observable::pauli_z(1, 0);
         let psi = StateVector::zero_state(1);
-        let run = |seed: u64| estimate_derivative_batched(&diff, &params, &obs, &psi, 3000, seed);
+        let run = |seed: u64| {
+            estimate_derivative_batched(&diff, &params, &obs, &psi, 3000, seed).unwrap()
+        };
         assert_eq!(run(4).to_bits(), run(4).to_bits());
         assert_ne!(run(4).to_bits(), run(5).to_bits());
     }

@@ -9,15 +9,22 @@
 //! 3. at run time, evaluate `Σi tr((ZA⊗O)·[[P′i]](|0⟩A⟨0| ⊗ ρ))` (Eq. 7.1).
 //!
 //! [`Differentiated`] packages steps 1–2; [`GradientEngine`] caches one
-//! `Differentiated` per parameter and evaluates whole gradients.
+//! `Differentiated` per parameter and evaluates whole gradients. A
+//! [`Query`] names one pure-state request — value, gadget gradient or
+//! shift gradient, exact or under a shot budget — and
+//! [`GradientEngine::evaluate`] answers it for a batch of inputs.
 
 use crate::cache::{CompiledSkeleton, ProgramCache};
+use crate::estimator::PreparedDerivativeEstimator;
 use crate::lowered::LoweredSet;
 use crate::semantics::observable_semantics;
 use crate::transform::{fresh_ancilla, transform, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
 use qdp_lang::{compile, denot, Register};
-use qdp_sim::{BatchedStates, DensityMatrix, Observable, StateVector};
+use qdp_sim::{
+    derive_seed, BatchedStates, DensityMatrix, Observable, ProjectiveObservable, QdpError,
+    ShotEngine, StateVector,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -38,12 +45,14 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs a batched evaluation whose only failure mode is a panic (e.g.
 /// worker-panic exhaustion deep inside `expectation_batch` re-panics with
-/// the typed message) and converts the unwind into a typed error — the
-/// fallible `try_*` twins of entry points that cannot thread a `Result`
-/// through their fan-out are built on this.
-fn contain<R>(f: impl FnOnce() -> R) -> Result<R, qdp_sim::QdpError> {
+/// the typed message) and converts the unwind into a typed error — how the
+/// exact arms of [`GradientEngine::evaluate`], which cannot thread a
+/// `Result` through their fan-out, stay fallible.
+fn contain<R>(f: impl FnOnce() -> R) -> Result<R, QdpError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
-        qdp_sim::QdpError::ServicePanic { message: panic_message(payload.as_ref()) }
+        QdpError::ServicePanic {
+            message: panic_message(payload.as_ref()),
+        }
     })
 }
 
@@ -262,7 +271,7 @@ impl Differentiated {
             |p| observable_semantics(p, &self.ext_register, params, ext_obs, ext_rho),
             TILE_RETRIES,
         )
-        .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)))
+        .unwrap_or_else(|e| panic!("{}", QdpError::from(e)))
         .into_iter()
         .sum()
     }
@@ -296,7 +305,7 @@ impl Differentiated {
             |p| p.expectation_pure(values, ext_psi, ext_obs),
             TILE_RETRIES,
         )
-        .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)))
+        .unwrap_or_else(|e| panic!("{}", QdpError::from(e)))
         .into_iter()
         .sum()
     }
@@ -335,6 +344,123 @@ impl Differentiated {
     /// future backends can drive [`LoweredSet::expectation_batch`] directly.
     pub fn skeleton(&self) -> Arc<CompiledSkeleton> {
         ProgramCache::global().intern(&self.compiled, &self.ext_register)
+    }
+}
+
+/// How a [`Query`] is evaluated (Section 7, “Execution”).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Read the quantity off the simulator exactly.
+    Exact,
+    /// Estimate it from sampled trajectories, as hardware would: this many
+    /// shots for a value, this many per parameter for a gradient (pass
+    /// `chernoff_shots(m, δ)` for the Chernoff guarantee).
+    Shots(usize),
+}
+
+/// What a [`Query`] asks for. The shift rule is exact by construction, so
+/// a shot-mode shift gradient cannot be expressed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// The forward value `⟨O⟩`.
+    Value(Mode),
+    /// The gradient via the per-parameter gadget multisets (Eq. 7.1).
+    Gradient(Mode),
+    /// The exact gradient via the `±π/2` shift rule on the forward program.
+    ShiftGradient,
+}
+
+/// One pure-state request against a [`GradientEngine`]: the kind (value,
+/// gadget gradient or shift gradient), the [`Mode`], the valuation and
+/// the observable. [`GradientEngine::evaluate`] answers it for a batch of
+/// inputs; [`crate::GradientService::submit`] coalesces equal queries from
+/// many clients into one such call.
+///
+/// Equality compares every field by value (parameters and observable
+/// entries by `f64 ==`) — it is the service's coalescing key.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Query {
+    kind: Kind,
+    params: Params,
+    obs: Observable,
+}
+
+impl Query {
+    /// The forward value `tr(O·[[P(θ*)]]ρ)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Mode::Shots(0)`.
+    pub fn value(params: Params, obs: Observable, mode: Mode) -> Self {
+        assert!(mode != Mode::Shots(0), "need at least one shot");
+        Query {
+            kind: Kind::Value(mode),
+            params,
+            obs,
+        }
+    }
+
+    /// The gradient via the per-parameter gadget multisets, keyed by
+    /// parameter name.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Mode::Shots(0)`.
+    pub fn gradient(params: Params, obs: Observable, mode: Mode) -> Self {
+        assert!(
+            mode != Mode::Shots(0),
+            "need at least one shot per parameter"
+        );
+        Query {
+            kind: Kind::Gradient(mode),
+            params,
+            obs,
+        }
+    }
+
+    /// The exact gradient via the `±π/2` shift rule (see
+    /// [`GradientEngine::shift_rule_eligible`]).
+    pub fn shift_gradient(params: Params, obs: Observable) -> Self {
+        Query {
+            kind: Kind::ShiftGradient,
+            params,
+            obs,
+        }
+    }
+}
+
+/// The answer to a [`Query`] for one input row.
+#[derive(Clone, Debug)]
+pub enum Answer {
+    /// A forward value.
+    Value(f64),
+    /// A gradient keyed by parameter name.
+    Gradient(BTreeMap<String, f64>),
+}
+
+impl Answer {
+    /// The scalar of a value answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a gradient answer.
+    pub fn into_value(self) -> f64 {
+        match self {
+            Answer::Value(v) => v,
+            Answer::Gradient(_) => panic!("a gradient query has no scalar answer"),
+        }
+    }
+
+    /// The map of a gradient answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value answer.
+    pub fn into_gradient(self) -> BTreeMap<String, f64> {
+        match self {
+            Answer::Gradient(g) => g,
+            Answer::Value(_) => panic!("a value query has no gradient answer"),
+        }
     }
 }
 
@@ -514,116 +640,14 @@ impl GradientEngine {
         self.diffs.values().map(|d| d.compiled().len()).sum()
     }
 
-    /// Shot-based estimate of the forward value `⟨O⟩` — what a hardware
-    /// run would report: `shots` sampled trajectories of the program from
-    /// `psi`, one projective read-out each, averaged.
-    ///
-    /// Runs on the lowered forward program through the batched
-    /// [`qdp_sim::ShotEngine`] (tiled across `qdp_par`, shot `s` on the
-    /// derived stream `(seed, s)`), so the estimate is bit-for-bit
-    /// deterministic for a fixed seed under any thread count.
+    /// Shot-based estimate of the full gradient on one pure input:
+    /// [`evaluate`](Self::evaluate) of a shot-mode gradient [`Query`] on
+    /// the one-row batch `psi` with row seed `seed`.
     ///
     /// # Panics
     ///
-    /// Panics when `shots` is zero or a used parameter has no value.
-    pub fn value_pure_shots(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-        shots: usize,
-        seed: u64,
-    ) -> f64 {
-        self.value_pure_shots_batch(params, obs, std::slice::from_ref(psi), shots, &[seed])
-            .remove(0)
-    }
-
-    /// [`value_pure_shots`](Self::value_pure_shots) for many inputs at
-    /// once: the forward program is resolved and the read-out decomposed
-    /// **once**, then the inputs fan out across `qdp_par` workers (row `r`
-    /// on stream `row_seeds[r]`, order-preserving — deterministic under
-    /// any thread count). Entry `r` is bit-identical to the single-input
-    /// call with the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs` and `row_seeds` disagree in length, `shots` is
-    /// zero, or a used parameter has no value.
-    pub fn value_pure_shots_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        inputs: &[StateVector],
-        shots: usize,
-        row_seeds: &[u64],
-    ) -> Vec<f64> {
-        self.try_value_pure_shots_batch(params, obs, inputs, shots, row_seeds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of
-    /// [`value_pure_shots_batch`](Self::value_pure_shots_batch):
-    /// worker-panic exhaustion surfaces as a typed
-    /// [`qdp_sim::QdpError::WorkerPanic`] instead of a panic, so callers
-    /// holding coalesced requests (the gradient service) can fail them
-    /// individually.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a row's tile
-    /// panicked and the bounded bit-identical retries did not heal it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (length mismatch, missing parameter) —
-    /// programmer errors the service validates on the caller's thread.
-    pub fn try_value_pure_shots_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        inputs: &[StateVector],
-        shots: usize,
-        row_seeds: &[u64],
-    ) -> Result<Vec<f64>, qdp_sim::QdpError> {
-        assert_eq!(
-            inputs.len(),
-            row_seeds.len(),
-            "one seed stream per input row"
-        );
-        let fwd = self.forward_skeleton();
-        let values = fwd.lowered().slot_values(params);
-        // The patched skeleton carries the identical bits a fresh
-        // resolve-and-convert would: shot streams stay bit-stable across
-        // cold and warm cache states.
-        let engine = qdp_sim::ShotEngine::new(fwd.trajectory_at(0, &values));
-        let readout = qdp_sim::ProjectiveObservable::new(obs);
-        let rows: Vec<(usize, u64)> = row_seeds.iter().copied().enumerate().collect();
-        // Each row is pure (fresh derived streams per call), so a panicked
-        // worker tile retries bit-identically before failing.
-        qdp_par::try_par_map_retry(
-            &rows,
-            |&(r, seed)| engine.estimate_expectation_prepared(&inputs[r], &readout, shots, seed),
-            TILE_RETRIES,
-        )
-        .map_err(qdp_sim::QdpError::from)
-    }
-
-    /// Shot-based estimate of the full gradient on a pure input: each
-    /// parameter's derivative is estimated by
-    /// [`crate::estimator::estimate_derivative_batched`] with
-    /// `shots_per_param` trajectories on its own derived seed stream
-    /// (`qdp_sim::derive_seed(seed, j)` for the `j`-th parameter in
-    /// lexicographic order).
-    ///
-    /// For the Chernoff guarantee of Section 7, pass
-    /// `shots_per_param = chernoff_shots(mj, δ)` per parameter; a fixed
-    /// budget trades accuracy uniformly. Deterministic for a fixed seed
-    /// under any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shots_per_param` is zero or a used parameter has no
-    /// value.
+    /// Panics on a malformed query (see [`evaluate`](Self::evaluate)),
+    /// when `shots_per_param` is zero, or when the estimate fails.
     pub fn gradient_pure_shots(
         &self,
         params: &Params,
@@ -632,89 +656,15 @@ impl GradientEngine {
         shots_per_param: usize,
         seed: u64,
     ) -> BTreeMap<String, f64> {
-        self.gradient_pure_shots_batch(params, obs, std::slice::from_ref(psi), shots_per_param, &[seed])
-            .remove(0)
-    }
-
-    /// [`gradient_pure_shots`](Self::gradient_pure_shots) for many inputs
-    /// at once: every parameter's
-    /// [`crate::estimator::PreparedDerivativeEstimator`] (resolved
-    /// programs, decomposed read-out) is built **once** and shared by all
-    /// rows, which fan out across `qdp_par` workers — row `r` estimates
-    /// parameter `j` on the derived stream `(row_seeds[r], j)`, exactly as
-    /// the single-input call does, so entry `r` is bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs` and `row_seeds` disagree in length,
-    /// `shots_per_param` is zero, or a used parameter has no value.
-    pub fn gradient_pure_shots_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        inputs: &[StateVector],
-        shots_per_param: usize,
-        row_seeds: &[u64],
-    ) -> Vec<BTreeMap<String, f64>> {
-        self.try_gradient_pure_shots_batch(params, obs, inputs, shots_per_param, row_seeds)
+        let query = Query::gradient(params.clone(), obs.clone(), Mode::Shots(shots_per_param));
+        self.evaluate(&query, &BatchedStates::gather(&[psi]), &[seed])
             .unwrap_or_else(|e| panic!("{e}"))
+            .remove(0)
+            .into_gradient()
     }
 
-    /// Fallible twin of
-    /// [`gradient_pure_shots_batch`](Self::gradient_pure_shots_batch) —
-    /// same contract as
-    /// [`try_value_pure_shots_batch`](Self::try_value_pure_shots_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a row's tile
-    /// panicked and the bounded bit-identical retries did not heal it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (length mismatch, missing parameter).
-    pub fn try_gradient_pure_shots_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        inputs: &[StateVector],
-        shots_per_param: usize,
-        row_seeds: &[u64],
-    ) -> Result<Vec<BTreeMap<String, f64>>, qdp_sim::QdpError> {
-        assert_eq!(
-            inputs.len(),
-            row_seeds.len(),
-            "one seed stream per input row"
-        );
-        let prepared: Vec<(&String, crate::estimator::PreparedDerivativeEstimator)> = self
-            .diffs
-            .iter()
-            .map(|(name, diff)| {
-                (
-                    name,
-                    crate::estimator::PreparedDerivativeEstimator::new(diff, params, obs),
-                )
-            })
-            .collect();
-        let rows: Vec<(usize, u64)> = row_seeds.iter().copied().enumerate().collect();
-        qdp_par::try_par_map_retry(
-            &rows,
-            |&(r, seed)| {
-                prepared
-                    .iter()
-                    .enumerate()
-                    .map(|(j, (name, estimator))| {
-                        let stream = qdp_sim::derive_seed(seed, j as u64);
-                        ((*name).clone(), estimator.estimate(&inputs[r], shots_per_param, stream))
-                    })
-                    .collect()
-            },
-            TILE_RETRIES,
-        )
-        .map_err(qdp_sim::QdpError::from)
-    }
-
-    /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch.
+    /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch —
+    /// the exact-value arm of [`evaluate`](Self::evaluate).
     ///
     /// Runs on the **lowered** forward program (resolved indices, interned
     /// slots, gate matrices built once per batch) instead of the AST
@@ -732,27 +682,9 @@ impl GradientEngine {
         fwd.lowered().expectation_batch(&values, states, obs)
     }
 
-    /// Fallible twin of [`value_pure_batch`](Self::value_pure_batch): the
-    /// sweep's failure panics (worker-panic exhaustion deep inside
-    /// `expectation_batch`) are contained into a typed
-    /// [`qdp_sim::QdpError::ServicePanic`] carrying the panic message.
-    /// A successful call returns the identical bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::ServicePanic`] when the sweep
-    /// panicked.
-    pub fn try_value_pure_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        states: &BatchedStates,
-    ) -> Result<Vec<f64>, qdp_sim::QdpError> {
-        contain(|| self.value_pure_batch(params, obs, states))
-    }
-
     /// The full gradient for **every** row of a batch, keyed by parameter
-    /// name, in one pass over all `parameters × programs × rows` tiles.
+    /// name, in one pass over all `parameters × programs × rows` tiles —
+    /// the exact-gradient arm of [`evaluate`](Self::evaluate).
     ///
     /// Shared setup (ancilla-extended observable and batch, canonical
     /// valuation, slot remaps) happens once; per-parameter batch
@@ -804,23 +736,6 @@ impl GradientEngine {
             .collect()
     }
 
-    /// Fallible twin of [`gradient_pure_batch`](Self::gradient_pure_batch)
-    /// — same containment contract as
-    /// [`try_value_pure_batch`](Self::try_value_pure_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::ServicePanic`] when the sweep
-    /// panicked.
-    pub fn try_gradient_pure_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        states: &BatchedStates,
-    ) -> Result<Vec<BTreeMap<String, f64>>, qdp_sim::QdpError> {
-        contain(|| self.gradient_pure_batch(params, obs, states))
-    }
-
     /// Whether the phase-shift rule applies: every parameter occurs exactly
     /// once along any execution path ([`crate::resource::occurrence_count`]
     /// counts `while` bodies `bound` times and takes the per-path maximum
@@ -835,123 +750,217 @@ impl GradientEngine {
             .all(|p| crate::resource::occurrence_count(&self.program, p) == 1)
     }
 
-    /// The full gradient on a pure input via the `±π/2` shift rule — the
-    /// compile-once fast path for shift-eligible programs (see
-    /// [`shift_rule_eligible`](Self::shift_rule_eligible)).
-    ///
-    /// Where the gadget path compiles one multiset per parameter (36
-    /// lowered multisets for a 36-parameter circuit), this path evaluates
-    /// the **single** interned forward skeleton at `2P` shifted valuations:
-    /// `∂f/∂θj = (f(θj + π/2) − f(θj − π/2)) / 2`. One program skeleton is
-    /// lowered per process, total, and only slot `j` changes between
-    /// evaluations. Agrees with [`gradient_pure`](Self::gradient_pure) to
-    /// numerical precision and with the interpreter-level shift rule
-    /// bit-for-bit.
+    /// The full gradient on one pure input via the `±π/2` shift rule:
+    /// [`evaluate`](Self::evaluate) of [`Query::shift_gradient`] on the
+    /// one-row batch `psi`. Agrees with [`gradient_pure`](Self::gradient_pure)
+    /// to numerical precision.
     ///
     /// # Panics
     ///
-    /// Panics when the program is not shift-eligible or a used parameter
-    /// has no value.
+    /// Panics when the program is not shift-eligible, on another malformed
+    /// query (see [`evaluate`](Self::evaluate)), or when the sweep fails.
     pub fn gradient_pure_shift(
         &self,
         params: &Params,
         obs: &Observable,
         psi: &StateVector,
     ) -> BTreeMap<String, f64> {
-        self.gradient_pure_shift_batch(params, obs, &BatchedStates::gather(&[psi]))
-            .remove(0)
-    }
-
-    /// [`gradient_pure_shift`](Self::gradient_pure_shift) for every row of
-    /// a batch: the `2P` shifted valuations fan out across `qdp_par`
-    /// workers, each evaluating the shared forward skeleton over the whole
-    /// batch, and per-row central differences are assembled in canonical
-    /// parameter order — bit-for-bit deterministic under any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the program is not shift-eligible, a used parameter has
-    /// no value, or the batch register does not match the program's.
-    pub fn gradient_pure_shift_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        states: &BatchedStates,
-    ) -> Vec<BTreeMap<String, f64>> {
-        self.try_gradient_pure_shift_batch(params, obs, states)
+        let query = Query::shift_gradient(params.clone(), obs.clone());
+        self.evaluate(&query, &BatchedStates::gather(&[psi]), &[])
             .unwrap_or_else(|e| panic!("{e}"))
+            .remove(0)
+            .into_gradient()
     }
 
-    /// Fallible twin of
-    /// [`gradient_pure_shift_batch`](Self::gradient_pure_shift_batch):
-    /// worker-panic exhaustion in the shifted-valuation fan-out surfaces
-    /// as a typed [`qdp_sim::QdpError::WorkerPanic`].
+    /// Answers `query` for every row of `states` — the one pure-state
+    /// entry point the trainer and the gradient service run on. Each
+    /// answer is the Section 7 quantity for its row: the forward value, or
+    /// per parameter the sum (Eq. 7.1) over the compiled multiset, read
+    /// off exactly or estimated under the query's shot budget.
+    ///
+    /// * **Exact value / gradient** run the batched lowered sweeps of
+    ///   [`value_pure_batch`](Self::value_pure_batch) and
+    ///   [`gradient_pure_batch`](Self::gradient_pure_batch).
+    /// * **Shift gradient** evaluates the single interned forward skeleton
+    ///   at `2P` shifted valuations, `∂f/∂θj = (f(θj + π/2) − f(θj − π/2)) / 2`
+    ///   (see [`shift_rule_eligible`](Self::shift_rule_eligible)): one
+    ///   skeleton lowered per process where the gadget path lowers one
+    ///   multiset per parameter. Agrees with the gadget gradient to
+    ///   numerical precision.
+    /// * **Shot modes** estimate row `r` on stream `row_seeds[r]`: the
+    ///   value from `shots` sampled trajectories of the forward program,
+    ///   the gradient with one
+    ///   [`crate::estimator::PreparedDerivativeEstimator`] per parameter,
+    ///   parameter `j` (lexicographic order) on the derived stream
+    ///   `qdp_sim::derive_seed(row_seeds[r], j)` with `shots` trajectories.
+    ///   For the Chernoff guarantee pass `chernoff_shots(mj, δ)`.
+    ///
+    /// Setup (forward skeleton, slot values, estimators, read-out
+    /// decomposition) happens once per call and is shared by every row.
+    /// Row `r`'s answer does not depend on the other rows — it carries the
+    /// bits of a one-row call with the same seed — and every answer is
+    /// bit-for-bit deterministic under any thread count. Exact modes
+    /// ignore `row_seeds`.
     ///
     /// # Errors
     ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a valuation's tile
-    /// panicked and the bounded bit-identical retries did not heal it.
+    /// [`QdpError::ServicePanic`] when an exact value or gradient sweep
+    /// panicked (worker-panic exhaustion inside the lowered sweep);
+    /// [`QdpError::WorkerPanic`] when a shift or shot tile panicked and the
+    /// bounded bit-identical retries did not heal it.
     ///
     /// # Panics
     ///
-    /// Panics when the program is not shift-eligible or a used parameter
-    /// has no value — programmer errors validated before enqueueing.
-    pub fn try_gradient_pure_shift_batch(
+    /// Panics on malformed queries: a used parameter without a value, a
+    /// batch register that does not match the program's, a shift gradient
+    /// on a shift-ineligible program, or a shot query without one seed
+    /// per row. The gradient service checks the same conditions on the
+    /// caller's thread before enqueueing.
+    pub fn evaluate(
         &self,
-        params: &Params,
-        obs: &Observable,
+        query: &Query,
         states: &BatchedStates,
-    ) -> Result<Vec<BTreeMap<String, f64>>, qdp_sim::QdpError> {
+        row_seeds: &[u64],
+    ) -> Result<Vec<Answer>, QdpError> {
+        self.check(query, states.num_qubits());
+        let (params, obs) = (&query.params, &query.obs);
+        let seeded_rows = || -> Vec<(usize, u64)> {
+            assert_eq!(
+                row_seeds.len(),
+                states.len(),
+                "one seed stream per input row"
+            );
+            row_seeds.iter().copied().enumerate().collect()
+        };
+        match query.kind {
+            Kind::Value(Mode::Exact) => Ok(contain(|| self.value_pure_batch(params, obs, states))?
+                .into_iter()
+                .map(Answer::Value)
+                .collect()),
+            Kind::Gradient(Mode::Exact) => {
+                Ok(contain(|| self.gradient_pure_batch(params, obs, states))?
+                    .into_iter()
+                    .map(Answer::Gradient)
+                    .collect())
+            }
+            Kind::ShiftGradient => {
+                let fwd = self.forward_skeleton();
+                let lowered = fwd.lowered();
+                let base = lowered.slot_values(params);
+                let names: Vec<&String> = self.diffs.keys().collect();
+                // Two shifted valuations per parameter, in canonical order.
+                let jobs: Vec<(usize, f64)> = names
+                    .iter()
+                    .flat_map(|name| {
+                        // Infallible: the forward lowering interns every
+                        // parameter the program uses.
+                        #[allow(clippy::expect_used)]
+                        let slot = lowered
+                            .param_names()
+                            .iter()
+                            .position(|p| p == *name)
+                            .expect("engine parameters are forward-program parameters");
+                        let half = std::f64::consts::FRAC_PI_2;
+                        [(slot, half), (slot, -half)]
+                    })
+                    .collect();
+                // Pure per valuation, so a panicked worker tile retries
+                // bit-identically before the failure is surfaced. Inner
+                // batch evaluations degrade to sequential under the global
+                // token budget.
+                let evals: Vec<Vec<f64>> = qdp_par::try_par_map_retry(
+                    &jobs,
+                    |&(slot, shift)| {
+                        let mut values = base.clone();
+                        values[slot] += shift;
+                        lowered.expectation_batch(&values, states, obs)
+                    },
+                    TILE_RETRIES,
+                )?;
+                Ok((0..states.len())
+                    .map(|r| {
+                        Answer::Gradient(
+                            names
+                                .iter()
+                                .enumerate()
+                                .map(|(j, name)| {
+                                    let d = (evals[2 * j][r] - evals[2 * j + 1][r]) / 2.0;
+                                    ((*name).clone(), d)
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect())
+            }
+            Kind::Value(Mode::Shots(shots)) => {
+                let fwd = self.forward_skeleton();
+                let values = fwd.lowered().slot_values(params);
+                // The patched skeleton carries the identical bits a fresh
+                // resolve-and-convert would: shot streams stay bit-stable
+                // across cold and warm cache states.
+                let engine = ShotEngine::new(fwd.trajectory_at(0, &values));
+                let readout = ProjectiveObservable::new(obs);
+                // Each row is pure (fresh derived streams per call), so a
+                // panicked worker tile retries bit-identically.
+                qdp_par::try_par_map_retry(
+                    &seeded_rows(),
+                    |&(r, seed)| {
+                        let psi = states.row_state(r);
+                        engine
+                            .try_estimate_expectation_prepared(&psi, &readout, shots, seed)
+                            .map(Answer::Value)
+                    },
+                    TILE_RETRIES,
+                )?
+                .into_iter()
+                .collect()
+            }
+            Kind::Gradient(Mode::Shots(shots)) => {
+                let prepared: Vec<(&String, PreparedDerivativeEstimator)> = self
+                    .diffs
+                    .iter()
+                    .map(|(name, diff)| (name, PreparedDerivativeEstimator::new(diff, params, obs)))
+                    .collect();
+                qdp_par::try_par_map_retry(
+                    &seeded_rows(),
+                    |&(r, seed)| {
+                        let psi = states.row_state(r);
+                        let mut grad = BTreeMap::new();
+                        for (j, (name, estimator)) in prepared.iter().enumerate() {
+                            let stream = derive_seed(seed, j as u64);
+                            grad.insert((*name).clone(), estimator.estimate(&psi, shots, stream)?);
+                        }
+                        Ok(Answer::Gradient(grad))
+                    },
+                    TILE_RETRIES,
+                )?
+                .into_iter()
+                .collect()
+            }
+        }
+    }
+
+    /// Panics unless `query` is well-formed against a `width`-qubit input
+    /// (the conditions [`evaluate`](Self::evaluate) documents) — checked up
+    /// front so the gradient service can fail a malformed request on its
+    /// caller's thread instead of failing its whole coalesced group.
+    pub(crate) fn check(&self, query: &Query, width: usize) {
+        assert_eq!(
+            width,
+            self.register.len(),
+            "input state width must match the program register"
+        );
+        for name in self.diffs.keys() {
+            assert!(
+                query.params.get(name).is_some(),
+                "parameter '{name}' has no value"
+            );
+        }
         assert!(
-            self.shift_rule_eligible(),
+            query.kind != Kind::ShiftGradient || self.shift_rule_eligible(),
             "shift-rule gradient requires every parameter to occur exactly once \
              per execution path; use gradient_pure_batch for general programs"
         );
-        let fwd = self.forward_skeleton();
-        let lowered = fwd.lowered();
-        let base = lowered.slot_values(params);
-        let names: Vec<&String> = self.diffs.keys().collect();
-        // Two shifted valuations per parameter, in canonical order. Slots
-        // are looked up once; the jobs share the base valuation.
-        let jobs: Vec<(usize, f64)> = names
-            .iter()
-            .flat_map(|name| {
-                // Infallible: the forward lowering interns every parameter
-                // the program uses.
-                #[allow(clippy::expect_used)]
-                let slot = lowered
-                    .param_names()
-                    .iter()
-                    .position(|p| p == *name)
-                    .expect("engine parameters are forward-program parameters");
-                let half = std::f64::consts::FRAC_PI_2;
-                [(slot, half), (slot, -half)]
-            })
-            .collect();
-        // Pure per valuation, so a panicked worker tile retries
-        // bit-identically before the failure is surfaced. Inner batch
-        // evaluations degrade to sequential under the global token budget.
-        let evals: Vec<Vec<f64>> = qdp_par::try_par_map_retry(
-            &jobs,
-            |&(slot, shift)| {
-                let mut values = base.clone();
-                values[slot] += shift;
-                lowered.expectation_batch(&values, states, obs)
-            },
-            TILE_RETRIES,
-        )
-        .map_err(qdp_sim::QdpError::from)?;
-        Ok((0..states.len())
-            .map(|r| {
-                names
-                    .iter()
-                    .enumerate()
-                    .map(|(j, name)| {
-                        ((*name).clone(), (evals[2 * j][r] - evals[2 * j + 1][r]) / 2.0)
-                    })
-                    .collect()
-            })
-            .collect())
     }
 }
 
@@ -1170,7 +1179,12 @@ mod tests {
         let obs = Observable::pauli_z(2, 1);
         let psi = StateVector::zero_state(2);
 
-        let value = engine.value_pure_shots(&params, &obs, &psi, 40_000, 3);
+        let query = Query::value(params.clone(), obs.clone(), Mode::Shots(40_000));
+        let value = engine
+            .evaluate(&query, &BatchedStates::gather(&[&psi]), &[3])
+            .unwrap()
+            .remove(0)
+            .into_value();
         assert!(
             (value - engine.value_pure(&params, &obs, &psi)).abs() < 0.02,
             "shot value {value}"

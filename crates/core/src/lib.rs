@@ -9,8 +9,9 @@
 //!   differential semantics (Definitions 5.1–5.3),
 //! * [`logic`] — the differentiation logic `S′(θ)|S(θ)` of Fig. 5 as
 //!   derivation trees with a proof checker (Theorem 6.2),
-//! * [`exec`] — the transform → compile → evaluate pipeline and a cached
-//!   [`GradientEngine`],
+//! * [`exec`] — the transform → compile → evaluate pipeline, a cached
+//!   [`GradientEngine`], and the one pure-state request shape [`Query`]
+//!   that [`GradientEngine::evaluate`] answers,
 //! * [`resource`] — occurrence counts and `|#∂/∂θj(P)|` (Definitions 7.1 and
 //!   4.3, Proposition 7.2),
 //! * [`estimator`] — shot-based estimation with the `O(m²/δ²)` Chernoff
@@ -55,7 +56,7 @@ pub mod service;
 pub mod transform;
 
 pub use cache::{CacheCounters, CacheStats, CompiledSkeleton, ProgramCache};
-pub use exec::{differentiate, Differentiated, GradientEngine};
+pub use exec::{differentiate, Answer, Differentiated, GradientEngine, Mode, Query};
 pub use lowered::{lower_invocations, LoweredProgram, LoweredSet, ResolvedProgram, TrajSkeleton};
 pub use service::{
     GradientService, OverloadPolicy, ProgramHandle, RequestOptions, ServiceConfig,

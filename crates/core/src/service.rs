@@ -5,27 +5,25 @@
 //! a server: clients register programs (deduplicated structurally — two
 //! registrations of the same program share one tenant and therefore one
 //! [`crate::GradientEngine`] and one interned skeleton) and submit
-//! expectation/gradient requests from any number of threads. Requests
-//! against the same tenant that are **compatible** — same request kind,
-//! same valuation, same observable, same shot budget — coalesce into one
+//! [`Query`]s from any number of threads through
+//! [`submit`](GradientService::submit). Requests against the same tenant
+//! whose queries are **equal** — same kind, same mode and shot budget,
+//! same valuation, same observable; seeds excluded — coalesce into one
 //! shared [`qdp_sim::BatchedStates`] tile: a single leader gathers the
-//! queued inputs into one contiguous batch, runs **one** kernel sweep
-//! through the engine's batched entry point, and distributes the per-row
-//! results. The batch axis of PR 2 becomes the multi-tenancy axis.
+//! queued inputs into one contiguous batch, runs **one**
+//! [`GradientEngine::evaluate`] call over it, and distributes the per-row
+//! answers. The batch axis becomes the multi-tenancy axis.
 //!
 //! # Determinism contract
 //!
 //! Every client's result is **bit-identical to running its request solo**:
-//!
-//! * exact kinds ride the batched evaluators, whose per-row outputs are
-//!   invariant under batch composition (pinned by
-//!   `crates/core/tests/batch_equivalence.rs` and the branch-weighted
-//!   differential suite) — row `r` of a coalesced sweep carries the same
-//!   bits as a one-row sweep of that input;
-//! * shot kinds pass each client's own seed as its row's stream
-//!   (`row_seeds[r]`), and the batched shot entry points guarantee row `r`
-//!   is bit-identical to the single-input call with that seed (the
-//!   [`qdp_sim::derive_seed`] per-row stream contract of PR 3).
+//! `evaluate` guarantees that row `r`'s answer does not depend on the other
+//! rows of the batch — exact kinds because the batched sweeps are
+//! invariant under batch composition (pinned by
+//! `crates/core/tests/batch_equivalence.rs` and the branch-weighted
+//! differential suite), shot kinds because each client's own seed becomes
+//! its row's stream `row_seeds[r]` (the [`qdp_sim::derive_seed`] per-row
+//! stream contract).
 //!
 //! So coalescing changes *when* work happens, never *what* any client
 //! observes — under any thread count and any arrival interleaving. The
@@ -40,7 +38,7 @@
 //! [`min_batch`](ServiceConfig::min_batch) requests are pending (or an
 //! earlier [`flush`](GradientService::flush)/gate-open marked requests
 //! admitted), one waiter elects itself leader, drains the **head group**
-//! (the oldest request plus every pending request compatible with it, in
+//! (the oldest request plus every pending request with an equal query, in
 //! submission order), releases the lock, runs the one batched sweep,
 //! publishes results keyed by ticket, and steps down. When the gate opens
 //! on the threshold, every request pending at that moment is marked
@@ -51,24 +49,25 @@
 //!
 //! # Robustness contract
 //!
-//! * **Deadlines** ([`RequestOptions::deadline`], the fallible `*_with`
-//!   submit paths): the deadline bounds the *queue wait*. A request still
-//!   queued when its deadline passes removes exactly its own entry and
-//!   returns [`qdp_sim::QdpError::DeadlineExceeded`]; followers and the
+//! * **Deadlines** ([`RequestOptions::deadline`]): the deadline bounds the
+//!   *queue wait*. A request still queued when its deadline passes
+//!   removes exactly its own entry and returns
+//!   [`qdp_sim::QdpError::DeadlineExceeded`]; followers and the
 //!   admitted-carryover gate are untouched. A request already drained
 //!   into an active sweep is past cancellation — its leader serves the
 //!   batch it admitted (no torn batches) and the late requester simply
 //!   waits for the published result. In particular a leader past its own
-//!   deadline still completes its sweep.
+//!   deadline still completes its sweep. A deadline too far out to be
+//!   represented as an [`Instant`] means no deadline.
 //! * **Backpressure** ([`ServiceConfig::max_pending`]): with the default
 //!   [`OverloadPolicy::RejectNewest`], a submit that finds the tenant
 //!   queue at its bound sheds immediately with a typed
 //!   [`qdp_sim::QdpError::Overloaded`] — it never blocks waiting for
 //!   space, and never enqueues. [`OverloadPolicy::Block`] instead waits
 //!   for space (bounded by the request deadline, when one is set).
-//! * **Leader-failure containment**: the coalesced sweep runs under
-//!   `catch_unwind` (plus the typed `try_*` engine twins), so a worker
-//!   panic surviving `try_par_map_retry` or an injected
+//! * **Leader-failure containment**: the coalesced sweep is one fallible
+//!   `evaluate` call run under `catch_unwind`, so a worker panic
+//!   surviving `try_par_map_retry` or an injected
 //!   [`qdp_sim::fault::FaultSite::Service`] panic becomes a typed error,
 //!   never a propagated panic. Group members with retry budget left
 //!   ([`RequestOptions::max_retries`]) are re-queued at the head, still
@@ -80,10 +79,9 @@
 //!   [`qdp_sim::QdpError::ServicePanic`] errors, leadership resets, and
 //!   the tenant keeps serving fresh requests.
 //!
-//! The legacy infallible entry points ([`expectation`](GradientService::expectation)
-//! etc.) delegate to the fallible ones with default options and panic on
-//! the **caller's** thread with the typed message — same surface as
-//! before, still hang-free.
+//! Malformed requests (a missing parameter, a width mismatch, a shift
+//! gradient on an ineligible program) panic on the **caller's** thread
+//! before enqueueing, so they never fail a coalesced group.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -94,83 +92,17 @@ use std::time::{Duration, Instant};
 use qdp_lang::ast::{Params, Stmt};
 use qdp_sim::{BatchedStates, Observable, QdpError, StateVector};
 
-use crate::exec::GradientEngine;
+use crate::exec::{Answer, GradientEngine, Mode, Query};
 use crate::transform::TransformError;
 
-/// What one request asks for. Seeds live here (not in the compatibility
-/// key) so clients with distinct seeds still coalesce.
-#[derive(Clone, Debug)]
-enum Request {
-    /// Exact forward value `⟨O⟩`.
-    Value { params: Params, obs: Observable },
-    /// Exact gradient via the per-parameter gadget multisets.
-    Gradient { params: Params, obs: Observable },
-    /// Exact gradient via the `±π/2` shift rule on the forward skeleton.
-    ShiftGradient { params: Params, obs: Observable },
-    /// Shot-sampled forward value on the client's seed stream.
-    ValueShots {
-        params: Params,
-        obs: Observable,
-        shots: usize,
-        seed: u64,
-    },
-    /// Shot-sampled gradient on the client's seed stream.
-    GradientShots {
-        params: Params,
-        obs: Observable,
-        shots_per_param: usize,
-        seed: u64,
-    },
-}
-
-/// The result of one request.
-#[derive(Clone, Debug)]
-enum Output {
-    Value(f64),
-    Gradient(BTreeMap<String, f64>),
-}
-
-/// Whether two requests may share one batched sweep: same kind, same
-/// valuation (`Params` is an ordered map, compared by value bits), same
-/// observable (register width, targets, matrix entries — compared
-/// bitwise via `Matrix: PartialEq`), same shot budget. Seeds are
-/// intentionally excluded: they become per-row streams.
-fn compatible(a: &Request, b: &Request) -> bool {
-    fn obs_eq(x: &Observable, y: &Observable) -> bool {
-        x.num_qubits() == y.num_qubits() && x.targets() == y.targets() && x.matrix() == y.matrix()
-    }
-    match (a, b) {
-        (
-            Request::Value { params: p1, obs: o1 },
-            Request::Value { params: p2, obs: o2 },
-        )
-        | (
-            Request::Gradient { params: p1, obs: o1 },
-            Request::Gradient { params: p2, obs: o2 },
-        )
-        | (
-            Request::ShiftGradient { params: p1, obs: o1 },
-            Request::ShiftGradient { params: p2, obs: o2 },
-        ) => p1 == p2 && obs_eq(o1, o2),
-        (
-            Request::ValueShots { params: p1, obs: o1, shots: s1, .. },
-            Request::ValueShots { params: p2, obs: o2, shots: s2, .. },
-        ) => s1 == s2 && p1 == p2 && obs_eq(o1, o2),
-        (
-            Request::GradientShots { params: p1, obs: o1, shots_per_param: s1, .. },
-            Request::GradientShots { params: p2, obs: o2, shots_per_param: s2, .. },
-        ) => s1 == s2 && p1 == p2 && obs_eq(o1, o2),
-        _ => false,
-    }
-}
-
-/// Per-request submission options for the fallible `*_with` entry points.
+/// Per-request submission options.
 #[derive(Clone, Debug)]
 pub struct RequestOptions {
     /// Maximum time the request may spend **queued** before it is
     /// cancelled with [`qdp_sim::QdpError::DeadlineExceeded`]. Once the
     /// request is drained into an active sweep it is past cancellation
-    /// and the submitter waits for the published result. `None` waits
+    /// and the submitter waits for the published result. `None` — or a
+    /// deadline too far out to be represented as an [`Instant`] — waits
     /// indefinitely.
     pub deadline: Option<Duration>,
     /// How many times a failed coalesced sweep may re-serve this request
@@ -209,8 +141,8 @@ impl RequestOptions {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Shed the incoming request immediately with a typed
-    /// [`qdp_sim::QdpError::Overloaded`] — the non-blocking `try_submit`
-    /// behaviour: saturation degrades to fast failure instead of
+    /// [`qdp_sim::QdpError::Overloaded`] — non-blocking submission:
+    /// saturation degrades to fast failure instead of
     /// unbounded queue growth and latency collapse.
     #[default]
     RejectNewest,
@@ -248,7 +180,10 @@ impl Default for ServiceConfig {
 struct Pending {
     ticket: u64,
     input: StateVector,
-    request: Request,
+    query: Query,
+    /// The client's shot stream; exact queries ignore it, and it is not
+    /// part of the coalescing key.
+    seed: u64,
     /// Owed a sweep: the admission gate opened while this request was
     /// queued (or a flush covered it). The flag rides the request, so
     /// removing an expired request cannot miscount the carryover.
@@ -262,7 +197,7 @@ struct Pending {
 #[derive(Debug, Default)]
 struct TenantState {
     pending: Vec<Pending>,
-    results: HashMap<u64, Result<Output, QdpError>>,
+    results: HashMap<u64, Result<Answer, QdpError>>,
     /// Whether a leader is currently running a sweep.
     leader: bool,
     next_ticket: u64,
@@ -540,42 +475,16 @@ impl GradientService {
         handle.tenant.ready.notify_all();
     }
 
-    /// Exact forward value `⟨O⟩` — blocks until a (possibly shared) sweep
-    /// serves it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a used parameter has no value, the input width does
-    /// not match the program register, or the request fails (overload
-    /// shedding under a bounded config, sweep failure past the retry
-    /// budget) — the panic carries the typed error's message. Use
-    /// [`expectation_with`](Self::expectation_with) to handle failures.
-    pub fn expectation(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-    ) -> f64 {
-        self.expectation_with(handle, params, obs, psi, &RequestOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`expectation`](Self::expectation) with per-request
-    /// options.
+    /// Exact forward value `⟨O⟩`: [`submit`](Self::submit) of
+    /// [`Query::value`] in [`Mode::Exact`].
     ///
     /// # Errors
     ///
-    /// [`QdpError::Overloaded`] when shed at submission,
-    /// [`QdpError::DeadlineExceeded`] when the queue wait outlived
-    /// `opts.deadline`, [`QdpError::ServicePanic`] /
-    /// [`QdpError::WorkerPanic`] when the serving sweep failed past the
-    /// retry budget.
+    /// See [`submit`](Self::submit).
     ///
     /// # Panics
     ///
-    /// Panics on malformed requests (missing parameter, width mismatch) —
-    /// validated on the caller's thread before enqueueing.
+    /// See [`submit`](Self::submit).
     pub fn expectation_with(
         &self,
         handle: &ProgramHandle,
@@ -584,42 +493,21 @@ impl GradientService {
         psi: &StateVector,
         opts: &RequestOptions,
     ) -> Result<f64, QdpError> {
-        self.validate(handle, params, psi);
-        match self.try_submit(handle, psi.clone(), Request::Value {
-            params: params.clone(),
-            obs: obs.clone(),
-        }, opts)? {
-            Output::Value(v) => Ok(v),
-            Output::Gradient(_) => unreachable!("value requests produce scalar outputs"),
-        }
+        let query = Query::value(params.clone(), obs.clone(), Mode::Exact);
+        self.submit(handle, &query, psi, 0, opts)
+            .map(Answer::into_value)
     }
 
-    /// Exact gradient via the gadget multisets, keyed by parameter name.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation).
-    pub fn gradient(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-    ) -> BTreeMap<String, f64> {
-        self.gradient_with(handle, params, obs, psi, &RequestOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`gradient`](Self::gradient) with per-request options —
-    /// same error surface as [`expectation_with`](Self::expectation_with).
+    /// Exact gradient via the gadget multisets, keyed by parameter name:
+    /// [`submit`](Self::submit) of [`Query::gradient`] in [`Mode::Exact`].
     ///
     /// # Errors
     ///
-    /// See [`expectation_with`](Self::expectation_with).
+    /// See [`submit`](Self::submit).
     ///
     /// # Panics
     ///
-    /// Panics on malformed requests, validated on the caller's thread.
+    /// See [`submit`](Self::submit).
     pub fn gradient_with(
         &self,
         handle: &ProgramHandle,
@@ -628,46 +516,22 @@ impl GradientService {
         psi: &StateVector,
         opts: &RequestOptions,
     ) -> Result<BTreeMap<String, f64>, QdpError> {
-        self.validate(handle, params, psi);
-        match self.try_submit(handle, psi.clone(), Request::Gradient {
-            params: params.clone(),
-            obs: obs.clone(),
-        }, opts)? {
-            Output::Gradient(g) => Ok(g),
-            Output::Value(_) => unreachable!("gradient requests produce map outputs"),
-        }
+        let query = Query::gradient(params.clone(), obs.clone(), Mode::Exact);
+        self.submit(handle, &query, psi, 0, opts)
+            .map(Answer::into_gradient)
     }
 
     /// Exact gradient via the `±π/2` shift rule on the single interned
-    /// forward skeleton (see
-    /// [`GradientEngine::gradient_pure_shift_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation), plus
-    /// shift-rule eligibility.
-    pub fn gradient_shift(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-    ) -> BTreeMap<String, f64> {
-        self.gradient_shift_with(handle, params, obs, psi, &RequestOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`gradient_shift`](Self::gradient_shift) with per-request
-    /// options.
+    /// forward skeleton: [`submit`](Self::submit) of
+    /// [`Query::shift_gradient`].
     ///
     /// # Errors
     ///
-    /// See [`expectation_with`](Self::expectation_with).
+    /// See [`submit`](Self::submit).
     ///
     /// # Panics
     ///
-    /// Panics on malformed requests or shift-ineligible programs,
-    /// validated on the caller's thread.
+    /// See [`submit`](Self::submit).
     pub fn gradient_shift_with(
         &self,
         handle: &ProgramHandle,
@@ -676,117 +540,25 @@ impl GradientService {
         psi: &StateVector,
         opts: &RequestOptions,
     ) -> Result<BTreeMap<String, f64>, QdpError> {
-        self.validate(handle, params, psi);
-        assert!(
-            handle.tenant.engine.shift_rule_eligible(),
-            "shift-rule gradient requires every parameter to occur exactly once \
-             per execution path"
-        );
-        match self.try_submit(handle, psi.clone(), Request::ShiftGradient {
-            params: params.clone(),
-            obs: obs.clone(),
-        }, opts)? {
-            Output::Gradient(g) => Ok(g),
-            Output::Value(_) => unreachable!("gradient requests produce map outputs"),
-        }
+        let query = Query::shift_gradient(params.clone(), obs.clone());
+        self.submit(handle, &query, psi, 0, opts)
+            .map(Answer::into_gradient)
     }
 
-    /// Shot-sampled forward value on this client's own `seed` stream —
-    /// bit-identical to [`GradientEngine::value_pure_shots`] with the same
-    /// seed, no matter which clients it coalesced with.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation), plus
-    /// `shots > 0`.
-    pub fn expectation_shots(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-        shots: usize,
-        seed: u64,
-    ) -> f64 {
-        self.expectation_shots_with(handle, params, obs, psi, shots, seed, &RequestOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`expectation_shots`](Self::expectation_shots) with
-    /// per-request options.
+    /// Shot-sampled gradient on this client's own `seed` stream:
+    /// [`submit`](Self::submit) of [`Query::gradient`] in
+    /// `Mode::Shots(shots_per_param)` — bit-identical to
+    /// [`GradientEngine::gradient_pure_shots`] with the same seed, no
+    /// matter which clients it coalesced with.
     ///
     /// # Errors
     ///
-    /// See [`expectation_with`](Self::expectation_with).
+    /// See [`submit`](Self::submit).
     ///
     /// # Panics
     ///
-    /// Panics on malformed requests (incl. `shots == 0`), validated on
-    /// the caller's thread.
-    #[allow(clippy::too_many_arguments)]
-    pub fn expectation_shots_with(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-        shots: usize,
-        seed: u64,
-        opts: &RequestOptions,
-    ) -> Result<f64, QdpError> {
-        self.validate(handle, params, psi);
-        assert!(shots > 0, "need at least one shot");
-        match self.try_submit(handle, psi.clone(), Request::ValueShots {
-            params: params.clone(),
-            obs: obs.clone(),
-            shots,
-            seed,
-        }, opts)? {
-            Output::Value(v) => Ok(v),
-            Output::Gradient(_) => unreachable!("value requests produce scalar outputs"),
-        }
-    }
-
-    /// Shot-sampled gradient on this client's own `seed` stream —
-    /// bit-identical to [`GradientEngine::gradient_pure_shots`] with the
-    /// same seed, no matter which clients it coalesced with.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation), plus
-    /// `shots_per_param > 0`.
-    pub fn gradient_shots(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-        shots_per_param: usize,
-        seed: u64,
-    ) -> BTreeMap<String, f64> {
-        self.gradient_shots_with(
-            handle,
-            params,
-            obs,
-            psi,
-            shots_per_param,
-            seed,
-            &RequestOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`gradient_shots`](Self::gradient_shots) with per-request
-    /// options.
-    ///
-    /// # Errors
-    ///
-    /// See [`expectation_with`](Self::expectation_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (incl. `shots_per_param == 0`),
-    /// validated on the caller's thread.
+    /// See [`submit`](Self::submit); also panics when `shots_per_param`
+    /// is zero.
     #[allow(clippy::too_many_arguments)]
     pub fn gradient_shots_with(
         &self,
@@ -798,49 +570,49 @@ impl GradientService {
         seed: u64,
         opts: &RequestOptions,
     ) -> Result<BTreeMap<String, f64>, QdpError> {
-        self.validate(handle, params, psi);
-        assert!(shots_per_param > 0, "need at least one shot per parameter");
-        match self.try_submit(handle, psi.clone(), Request::GradientShots {
-            params: params.clone(),
-            obs: obs.clone(),
-            shots_per_param,
-            seed,
-        }, opts)? {
-            Output::Gradient(g) => Ok(g),
-            Output::Value(_) => unreachable!("gradient requests produce map outputs"),
-        }
+        let query = Query::gradient(params.clone(), obs.clone(), Mode::Shots(shots_per_param));
+        self.submit(handle, &query, psi, seed, opts)
+            .map(Answer::into_gradient)
     }
 
-    /// Fail fast on the caller's thread, before enqueueing: a request that
-    /// would panic mid-sweep would fail its whole coalesced group.
-    fn validate(&self, handle: &ProgramHandle, params: &Params, psi: &StateVector) {
-        let engine = &handle.tenant.engine;
-        assert_eq!(
-            psi.num_qubits(),
-            engine.register().len(),
-            "input state width must match the program register"
-        );
-        for name in engine.parameters() {
-            assert!(
-                params.get(name).is_some(),
-                "parameter '{name}' has no value"
-            );
-        }
-    }
-
-    /// Enqueues one request (applying the overload policy first — with
-    /// [`OverloadPolicy::RejectNewest`] this never blocks for queue space)
-    /// and blocks until its result or typed failure is published, serving
-    /// as leader when elected (see the module docs).
-    fn try_submit(
+    /// Submits `query` on input `psi` — with the client's shot stream
+    /// `seed`, which exact queries ignore — and blocks until a (possibly
+    /// shared) sweep answers it. Pending requests with equal queries
+    /// coalesce into one [`GradientEngine::evaluate`] call, and the answer
+    /// carries the bits of a solo `evaluate` of this request.
+    ///
+    /// The overload policy applies first (with
+    /// [`OverloadPolicy::RejectNewest`] this never blocks for queue
+    /// space); the submitter serves as leader when elected (see the
+    /// module docs).
+    ///
+    /// # Errors
+    ///
+    /// [`QdpError::Overloaded`] when shed at submission,
+    /// [`QdpError::DeadlineExceeded`] when the queue wait outlived
+    /// `opts.deadline`, and past the retry budget the serving sweep's
+    /// typed error: [`QdpError::ServicePanic`] for exact values and
+    /// gradients (and for a panicking leader),
+    /// [`QdpError::WorkerPanic`] for shift and shot queries.
+    ///
+    /// # Panics
+    ///
+    /// Panics on malformed requests (missing parameter, width mismatch,
+    /// shift gradient on a shift-ineligible program) — checked on the
+    /// caller's thread before enqueueing.
+    pub fn submit(
         &self,
         handle: &ProgramHandle,
-        input: StateVector,
-        request: Request,
+        query: &Query,
+        psi: &StateVector,
+        seed: u64,
         opts: &RequestOptions,
-    ) -> Result<Output, QdpError> {
+    ) -> Result<Answer, QdpError> {
         let tenant = &*handle.tenant;
-        let deadline = opts.deadline.map(|d| (Instant::now() + d, duration_ms(d)));
+        tenant.engine.check(query, psi.num_qubits());
+        let deadline = opts
+            .deadline
+            .and_then(|d| Some((Instant::now().checked_add(d)?, duration_ms(d))));
         let mut st = tenant.lock_state();
 
         // Backpressure: bound the queue before enqueueing.
@@ -875,8 +647,9 @@ impl GradientService {
         st.next_ticket += 1;
         st.pending.push(Pending {
             ticket,
-            input,
-            request,
+            input: psi.clone(),
+            query: query.clone(),
+            seed,
             admitted: false,
             attempts: 0,
             max_retries: opts.max_retries,
@@ -900,11 +673,11 @@ impl GradientService {
                     }
                 }
                 // Drain the head group: oldest request plus every pending
-                // request compatible with it, in submission order.
+                // request with an equal query, in submission order.
                 let mut group: Vec<Pending> = Vec::new();
                 let mut rest: Vec<Pending> = Vec::new();
                 for p in st.pending.drain(..) {
-                    if group.is_empty() || compatible(&group[0].request, &p.request) {
+                    if group.is_empty() || group[0].query == p.query {
                         group.push(p);
                     } else {
                         rest.push(p);
@@ -918,11 +691,11 @@ impl GradientService {
                     armed: true,
                 };
                 // Containment: the injected service checkpoint and any
-                // panic that escapes the sweep (the typed `try_*` engine
-                // twins already convert worker-panic exhaustion) become a
-                // typed error to publish — never an unwind past the
-                // leader, never a stranded follower.
-                let outcome: Result<Vec<Output>, QdpError> =
+                // panic that escapes the sweep (`evaluate` already returns
+                // worker-panic exhaustion typed) become a typed error to
+                // publish — never an unwind past the leader, never a
+                // stranded follower.
+                let outcome: Result<Vec<Answer>, QdpError> =
                     catch_unwind(AssertUnwindSafe(|| {
                         qdp_sim::fault::service_checkpoint();
                         run_group(&tenant.engine, &group)
@@ -1001,70 +774,12 @@ fn duration_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Runs one coalesced group as a single batched sweep and returns one
-/// output per member, in group (submission) order. Worker-panic
-/// exhaustion surfaces as a typed error via the engine's `try_*` twins.
-fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Output>, QdpError> {
+/// Runs one coalesced group as a single [`GradientEngine::evaluate`] call
+/// and returns one answer per member, in group (submission) order.
+fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Answer>, QdpError> {
     let rows: Vec<&StateVector> = group.iter().map(|p| &p.input).collect();
-    Ok(match &group[0].request {
-        Request::Value { params, obs } => {
-            let batch = BatchedStates::gather(&rows);
-            engine
-                .try_value_pure_batch(params, obs, &batch)?
-                .into_iter()
-                .map(Output::Value)
-                .collect()
-        }
-        Request::Gradient { params, obs } => {
-            let batch = BatchedStates::gather(&rows);
-            engine
-                .try_gradient_pure_batch(params, obs, &batch)?
-                .into_iter()
-                .map(Output::Gradient)
-                .collect()
-        }
-        Request::ShiftGradient { params, obs } => {
-            let batch = BatchedStates::gather(&rows);
-            engine
-                .try_gradient_pure_shift_batch(params, obs, &batch)?
-                .into_iter()
-                .map(Output::Gradient)
-                .collect()
-        }
-        Request::ValueShots {
-            params, obs, shots, ..
-        } => {
-            let inputs: Vec<StateVector> = group.iter().map(|p| p.input.clone()).collect();
-            let row_seeds: Vec<u64> = group.iter().map(|p| request_seed(&p.request)).collect();
-            engine
-                .try_value_pure_shots_batch(params, obs, &inputs, *shots, &row_seeds)?
-                .into_iter()
-                .map(Output::Value)
-                .collect()
-        }
-        Request::GradientShots {
-            params,
-            obs,
-            shots_per_param,
-            ..
-        } => {
-            let inputs: Vec<StateVector> = group.iter().map(|p| p.input.clone()).collect();
-            let row_seeds: Vec<u64> = group.iter().map(|p| request_seed(&p.request)).collect();
-            engine
-                .try_gradient_pure_shots_batch(params, obs, &inputs, *shots_per_param, &row_seeds)?
-                .into_iter()
-                .map(Output::Gradient)
-                .collect()
-        }
-    })
-}
-
-/// The per-client seed of a shot request (exact requests carry none).
-fn request_seed(request: &Request) -> u64 {
-    match request {
-        Request::ValueShots { seed, .. } | Request::GradientShots { seed, .. } => *seed,
-        _ => 0,
-    }
+    let seeds: Vec<u64> = group.iter().map(|p| p.seed).collect();
+    engine.evaluate(&group[0].query, &BatchedStates::gather(&rows), &seeds)
 }
 
 #[cfg(test)]
@@ -1096,7 +811,12 @@ mod tests {
         let obs = Observable::pauli_z(2, 0);
         let psi = StateVector::zero_state(2);
 
-        let v = service.expectation(&handle, &params, &obs, &psi);
+        let opts = RequestOptions::new();
+        let exact_value = Query::value(params.clone(), obs.clone(), Mode::Exact);
+        let v = service
+            .submit(&handle, &exact_value, &psi, 0, &opts)
+            .unwrap()
+            .into_value();
         let direct_v = engine.value_pure_batch(
             &params,
             &obs,
@@ -1104,7 +824,11 @@ mod tests {
         )[0];
         assert_eq!(v.to_bits(), direct_v.to_bits());
 
-        let g = service.gradient(&handle, &params, &obs, &psi);
+        let exact_gradient = Query::gradient(params.clone(), obs.clone(), Mode::Exact);
+        let g = service
+            .submit(&handle, &exact_gradient, &psi, 0, &opts)
+            .unwrap()
+            .into_gradient();
         let direct_g = engine.gradient_pure_batch(
             &params,
             &obs,
@@ -1114,7 +838,11 @@ mod tests {
             assert_eq!(val.to_bits(), direct_g[0][name].to_bits(), "∂/∂{name}");
         }
 
-        let gs = service.gradient_shift(&handle, &params, &obs, &psi);
+        let shift = Query::shift_gradient(params.clone(), obs.clone());
+        let gs = service
+            .submit(&handle, &shift, &psi, 0, &opts)
+            .unwrap()
+            .into_gradient();
         for (name, val) in &g {
             assert!((gs[name] - val).abs() < 1e-10, "shift ∂/∂{name}");
         }
@@ -1123,16 +851,39 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_beyond_the_clock_range_means_no_deadline() {
+        let service = GradientService::new();
+        let p = parse_program("q1 *= RX(a); q2 *= RY(b); q1, q2 *= RZZ(c)").unwrap();
+        let handle = service.register(&p).unwrap();
+        let params = Params::from_pairs([("a", 0.3), ("b", -0.7), ("c", 1.9)]);
+        let obs = Observable::pauli_z(2, 1);
+        let psi = StateVector::zero_state(2);
+        let opts = RequestOptions::new().with_deadline(Duration::MAX);
+
+        let v = service
+            .expectation_with(&handle, &params, &obs, &psi, &opts)
+            .unwrap();
+        let solo = service.engine(&handle).value_pure_batch(
+            &params,
+            &obs,
+            &BatchedStates::gather(&[&psi]),
+        )[0];
+        assert_eq!(v.to_bits(), solo.to_bits());
+        assert_eq!(service.expired(&handle), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "has no value")]
     fn missing_parameter_fails_fast_on_the_caller_thread() {
         let service = GradientService::new();
         let p = parse_program("q1 *= RX(a)").unwrap();
         let handle = service.register(&p).unwrap();
-        let _ = service.expectation(
+        let _ = service.submit(
             &handle,
-            &Params::new(),
-            &Observable::pauli_z(1, 0),
+            &Query::value(Params::new(), Observable::pauli_z(1, 0), Mode::Exact),
             &StateVector::zero_state(1),
+            0,
+            &RequestOptions::new(),
         );
     }
 
@@ -1142,11 +893,16 @@ mod tests {
         let service = GradientService::new();
         let p = parse_program("q1 *= RX(a)").unwrap();
         let handle = service.register(&p).unwrap();
-        let _ = service.expectation(
+        let _ = service.submit(
             &handle,
-            &Params::from_pairs([("a", 0.2)]),
-            &Observable::pauli_z(1, 0),
+            &Query::value(
+                Params::from_pairs([("a", 0.2)]),
+                Observable::pauli_z(1, 0),
+                Mode::Exact,
+            ),
             &StateVector::zero_state(3),
+            0,
+            &RequestOptions::new(),
         );
     }
 
@@ -1161,12 +917,14 @@ mod tests {
         let svc = Arc::clone(&service);
         let h = handle.clone();
         let worker = std::thread::spawn(move || {
-            svc.expectation(
+            svc.expectation_with(
                 &h,
                 &Params::from_pairs([("a", 0.4)]),
                 &Observable::pauli_z(1, 0),
                 &StateVector::zero_state(1),
+                &RequestOptions::new(),
             )
+            .unwrap()
         });
         // The lone request must stay queued below the threshold: the
         // pre-fix stale flush would have admitted it here.

@@ -390,7 +390,8 @@ fn sampled_estimates_are_bitwise_deterministic_across_thread_counts() {
                 &psi,
                 600,
                 0xCAFE + ci as u64,
-            );
+            )
+            .unwrap();
             runs.push(est.to_bits());
         }
         qdp_par::set_max_threads(0); // restore auto-detection

@@ -13,7 +13,7 @@
 //! in this binary serialize on one mutex (the same idiom as
 //! `qdp-sim/tests/layout_differential.rs`).
 
-use qdp_ad::GradientService;
+use qdp_ad::{Answer, GradientEngine, GradientService, Mode, ProgramHandle, Query, RequestOptions};
 use qdp_lang::ast::Params;
 use qdp_lang::parse_program;
 use qdp_sim::{BatchedStates, Observable, StateVector};
@@ -37,6 +37,35 @@ const SRC: &str = "q1 *= RX(sa); q2 *= RY(sb); q1, q2 *= RZZ(sc)";
 
 fn fixed_params() -> Params {
     Params::from_pairs([("sa", 0.3), ("sb", -0.7), ("sc", 1.9)])
+}
+
+/// Submits `query` with default options and unwraps the answer.
+fn ask(
+    service: &GradientService,
+    handle: &ProgramHandle,
+    query: &Query,
+    psi: &StateVector,
+    seed: u64,
+) -> Answer {
+    service
+        .submit(handle, query, psi, seed, &RequestOptions::new())
+        .unwrap()
+}
+
+/// The solo baseline of one request: a one-row engine call.
+fn solo(engine: &GradientEngine, query: &Query, psi: &StateVector, seed: u64) -> Answer {
+    engine
+        .evaluate(query, &BatchedStates::gather(&[psi]), &[seed])
+        .unwrap()
+        .remove(0)
+}
+
+/// The bits of an answer, in parameter order for gradients.
+fn bits(answer: &Answer) -> Vec<u64> {
+    match answer {
+        Answer::Value(v) => vec![v.to_bits()],
+        Answer::Gradient(g) => g.values().map(|v| v.to_bits()).collect(),
+    }
 }
 
 /// A random normalised pure state on `n` qubits.
@@ -66,11 +95,12 @@ fn coalesced_shot_values_are_bit_identical_to_solo_under_the_thread_matrix() {
 
     // Solo baselines: the single-input engine call on each client's own
     // seed (itself pinned thread-count-invariant by PR 3's suites).
-    let solo_engine = qdp_ad::GradientEngine::new(&program).unwrap();
+    let query = Query::value(params.clone(), obs.clone(), Mode::Shots(shots));
+    let solo_engine = GradientEngine::new(&program).unwrap();
     let solo: Vec<f64> = inputs
         .iter()
         .zip(&seeds)
-        .map(|(psi, &seed)| solo_engine.value_pure_shots(&params, &obs, psi, shots, seed))
+        .map(|(psi, &seed)| solo(&solo_engine, &query, psi, seed).into_value())
         .collect();
 
     for &threads in &THREAD_COUNTS {
@@ -81,13 +111,10 @@ fn coalesced_shot_values_are_bit_identical_to_solo_under_the_thread_matrix() {
             .map(|i| {
                 let service = Arc::clone(&service);
                 let handle = handle.clone();
-                let params = params.clone();
-                let obs = obs.clone();
+                let query = query.clone();
                 let psi = inputs[i].clone();
                 let seed = seeds[i];
-                std::thread::spawn(move || {
-                    service.expectation_shots(&handle, &params, &obs, &psi, shots, seed)
-                })
+                std::thread::spawn(move || ask(&service, &handle, &query, &psi, seed).into_value())
             })
             .collect();
         let results: Vec<f64> = workers.into_iter().map(|w| w.join().unwrap()).collect();
@@ -121,12 +148,13 @@ fn coalesced_shot_gradients_are_bit_identical_to_solo_under_the_thread_matrix() 
     let inputs: Vec<StateVector> = (0..N).map(|_| random_state(&mut rng, 2)).collect();
     let seeds: Vec<u64> = (0..N as u64).map(|i| 0xFACE + 31 * i).collect();
 
-    let solo_engine = qdp_ad::GradientEngine::new(&program).unwrap();
+    let solo_engine = GradientEngine::new(&program).unwrap();
     let solo: Vec<_> = inputs
         .iter()
         .zip(&seeds)
         .map(|(psi, &seed)| solo_engine.gradient_pure_shots(&params, &obs, psi, shots, seed))
         .collect();
+    let query = Query::gradient(params.clone(), obs.clone(), Mode::Shots(shots));
 
     for &threads in &THREAD_COUNTS {
         qdp_par::set_max_threads(threads);
@@ -136,12 +164,11 @@ fn coalesced_shot_gradients_are_bit_identical_to_solo_under_the_thread_matrix() 
             .map(|i| {
                 let service = Arc::clone(&service);
                 let handle = handle.clone();
-                let params = params.clone();
-                let obs = obs.clone();
+                let query = query.clone();
                 let psi = inputs[i].clone();
                 let seed = seeds[i];
                 std::thread::spawn(move || {
-                    service.gradient_shots(&handle, &params, &obs, &psi, shots, seed)
+                    ask(&service, &handle, &query, &psi, seed).into_gradient()
                 })
             })
             .collect();
@@ -173,19 +200,17 @@ fn coalesced_exact_requests_match_batch_of_one_bitwise() {
 
     // Solo baseline: a one-row sweep of each input (the batched entry
     // points' per-row outputs are batch-composition invariant).
-    let solo_engine = qdp_ad::GradientEngine::new(&program).unwrap();
+    let solo_engine = GradientEngine::new(&program).unwrap();
     let solo_v: Vec<f64> = inputs
         .iter()
         .map(|psi| solo_engine.value_pure_batch(&params, &obs, &BatchedStates::gather(&[psi]))[0])
         .collect();
+    let shift = Query::shift_gradient(params.clone(), obs.clone());
     let solo_g: Vec<_> = inputs
         .iter()
-        .map(|psi| {
-            solo_engine
-                .gradient_pure_shift_batch(&params, &obs, &BatchedStates::gather(&[psi]))
-                .remove(0)
-        })
+        .map(|psi| solo(&solo_engine, &shift, psi, 0).into_gradient())
         .collect();
+    let value = Query::value(params.clone(), obs.clone(), Mode::Exact);
 
     for &threads in &THREAD_COUNTS {
         qdp_par::set_max_threads(threads);
@@ -197,10 +222,9 @@ fn coalesced_exact_requests_match_batch_of_one_bitwise() {
                 .map(|i| {
                     let service = Arc::clone(&service);
                     let handle = handle.clone();
-                    let params = params.clone();
-                    let obs = obs.clone();
+                    let value = value.clone();
                     let psi = inputs[i].clone();
-                    std::thread::spawn(move || service.expectation(&handle, &params, &obs, &psi))
+                    std::thread::spawn(move || ask(&service, &handle, &value, &psi, 0).into_value())
                 })
                 .collect();
             workers.into_iter().map(|w| w.join().unwrap()).collect()
@@ -210,11 +234,10 @@ fn coalesced_exact_requests_match_batch_of_one_bitwise() {
                 .map(|i| {
                     let service = Arc::clone(&service);
                     let handle = handle.clone();
-                    let params = params.clone();
-                    let obs = obs.clone();
+                    let shift = shift.clone();
                     let psi = inputs[i].clone();
                     std::thread::spawn(move || {
-                        service.gradient_shift(&handle, &params, &obs, &psi)
+                        ask(&service, &handle, &shift, &psi, 0).into_gradient()
                     })
                 })
                 .collect();
@@ -254,7 +277,7 @@ fn incompatible_requests_split_into_separate_sweeps_with_correct_results() {
     let obs = Observable::pauli_z(2, 0);
     let psi = StateVector::zero_state(2);
 
-    let solo_engine = qdp_ad::GradientEngine::new(&program).unwrap();
+    let solo_engine = GradientEngine::new(&program).unwrap();
     let want_a = solo_engine.value_pure_batch(&params_a, &obs, &BatchedStates::gather(&[&psi]))[0];
     let want_b = solo_engine.value_pure_batch(&params_b, &obs, &BatchedStates::gather(&[&psi]))[0];
 
@@ -265,9 +288,9 @@ fn incompatible_requests_split_into_separate_sweeps_with_correct_results() {
             let service = Arc::clone(&service);
             let handle = handle.clone();
             let params = if i % 2 == 0 { params_a.clone() } else { params_b.clone() };
-            let obs = obs.clone();
+            let query = Query::value(params, obs.clone(), Mode::Exact);
             let psi = psi.clone();
-            std::thread::spawn(move || service.expectation(&handle, &params, &obs, &psi))
+            std::thread::spawn(move || ask(&service, &handle, &query, &psi, 0).into_value())
         })
         .collect();
     let results: Vec<f64> = workers.into_iter().map(|w| w.join().unwrap()).collect();
@@ -295,12 +318,8 @@ fn flush_serves_partial_batches_below_the_admission_threshold() {
             let handle = handle.clone();
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                let v = service.expectation(
-                    &handle,
-                    &fixed_params(),
-                    &Observable::pauli_z(2, 0),
-                    &StateVector::zero_state(2),
-                );
+                let query = Query::value(fixed_params(), Observable::pauli_z(2, 0), Mode::Exact);
+                let v = ask(&service, &handle, &query, &StateVector::zero_state(2), 0).into_value();
                 done.fetch_add(1, Ordering::SeqCst);
                 v
             })
@@ -351,10 +370,12 @@ fn mixed_tenants_serve_concurrently_without_cross_talk() {
             let want_b = want_b.clone();
             std::thread::spawn(move || {
                 if i % 2 == 0 {
-                    let v = service.expectation(&h_a, &params_a, &obs1, &psi1);
+                    let query = Query::value(params_a, obs1, Mode::Exact);
+                    let v = ask(&service, &h_a, &query, &psi1, 0).into_value();
                     assert_eq!(v.to_bits(), want_a.to_bits(), "tenant A client {i}");
                 } else {
-                    let g = service.gradient(&h_b, &params_b, &obs2, &psi2);
+                    let query = Query::gradient(params_b, obs2, Mode::Exact);
+                    let g = ask(&service, &h_b, &query, &psi2, 0).into_gradient();
                     for (name, v) in &want_b {
                         assert_eq!(g[name].to_bits(), v.to_bits(), "tenant B client {i} ∂/∂{name}");
                     }
@@ -367,4 +388,120 @@ fn mixed_tenants_serve_concurrently_without_cross_talk() {
     }
     assert_eq!(service.served(&h_a), 3);
     assert_eq!(service.served(&h_b), 3);
+}
+
+#[test]
+fn requests_share_a_sweep_exactly_when_their_queries_are_equal() {
+    // The coalescing key is query equality with seeds excluded. Each case
+    // submits two requests that differ in exactly one field; both are
+    // queued before a flush releases them, so the head-group drain alone
+    // decides whether they share a sweep. Every answer must carry its solo
+    // bits either way.
+    let _guard = serialized();
+    let program = parse_program(SRC).unwrap();
+    let params = fixed_params();
+    let moved = Params::from_pairs([("sa", 0.3), ("sb", -0.7), ("sc", 1.8)]);
+    let obs = Observable::pauli_z(2, 0);
+    let other_obs = Observable::pauli_z(2, 1);
+    let gradient = |mode| Query::gradient(params.clone(), obs.clone(), mode);
+    let shots = Query::gradient(params.clone(), obs.clone(), Mode::Shots(32));
+    // (differing field, first request, second request, shared sweep?),
+    // each request a (query, seed) pair.
+    type Request = (Query, u64);
+    let cases: Vec<(&str, Request, Request, bool)> = vec![
+        (
+            "kind: value vs gradient",
+            (Query::value(params.clone(), obs.clone(), Mode::Exact), 0),
+            (gradient(Mode::Exact), 0),
+            false,
+        ),
+        (
+            "kind: gadget vs shift gradient",
+            (gradient(Mode::Exact), 0),
+            (Query::shift_gradient(params.clone(), obs.clone()), 0),
+            false,
+        ),
+        (
+            "mode",
+            (gradient(Mode::Exact), 7),
+            (gradient(Mode::Shots(32)), 7),
+            false,
+        ),
+        (
+            "shot budget",
+            (shots.clone(), 7),
+            (gradient(Mode::Shots(33)), 7),
+            false,
+        ),
+        (
+            "params",
+            (shots.clone(), 7),
+            (Query::gradient(moved, obs.clone(), Mode::Shots(32)), 7),
+            false,
+        ),
+        (
+            "observable",
+            (shots.clone(), 7),
+            (
+                Query::gradient(params.clone(), other_obs, Mode::Shots(32)),
+                7,
+            ),
+            false,
+        ),
+        (
+            "seed only (shots)",
+            (shots.clone(), 7),
+            (shots.clone(), 8),
+            true,
+        ),
+        (
+            "seed only (exact)",
+            (gradient(Mode::Exact), 7),
+            (gradient(Mode::Exact), 8),
+            true,
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(0xC0A4);
+    let inputs = [random_state(&mut rng, 2), random_state(&mut rng, 2)];
+    let solo_engine = GradientEngine::new(&program).unwrap();
+
+    for &threads in &THREAD_COUNTS {
+        qdp_par::set_max_threads(threads);
+        for (field, first, second, shared) in &cases {
+            // A threshold the two requests never reach: only the flush
+            // below releases them, after both are queued.
+            let service = Arc::new(GradientService::with_admission(3));
+            let handle = service.register(&program).unwrap();
+            let requests = [first.clone(), second.clone()];
+            let workers: Vec<_> = requests
+                .iter()
+                .zip(&inputs)
+                .map(|((query, seed), psi)| {
+                    let (service, handle) = (Arc::clone(&service), handle.clone());
+                    let (query, seed, psi) = (query.clone(), *seed, psi.clone());
+                    std::thread::spawn(move || ask(&service, &handle, &query, &psi, seed))
+                })
+                .collect();
+            while service.pending_depth(&handle) < 2 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            service.flush(&handle);
+            let answers: Vec<Answer> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+
+            let expected_sweeps = if *shared { 1 } else { 2 };
+            assert_eq!(
+                service.sweeps(&handle),
+                expected_sweeps,
+                "threads={threads} {field}: wrong coalescing"
+            );
+            for ((answer, (query, seed)), psi) in answers.iter().zip(&requests).zip(&inputs) {
+                assert_eq!(
+                    bits(answer),
+                    bits(&solo(&solo_engine, query, psi, *seed)),
+                    "threads={threads} {field}: served bits differ from solo"
+                );
+            }
+        }
+    }
+    qdp_par::set_max_threads(0);
 }

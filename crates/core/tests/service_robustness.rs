@@ -28,7 +28,8 @@
 //! lock their `FaultGuard` holds.
 
 use qdp_ad::{
-    GradientEngine, GradientService, OverloadPolicy, ProgramCache, RequestOptions, ServiceConfig,
+    GradientEngine, GradientService, Mode, OverloadPolicy, ProgramCache, Query, RequestOptions,
+    ServiceConfig,
 };
 use qdp_lang::ast::Params;
 use qdp_lang::{parse_program, Register};
@@ -347,6 +348,72 @@ fn injected_leader_panics_past_the_retry_budget_fail_typed_without_hanging() {
             "threads={threads}: post-failure healthy request drifted"
         );
     }
+}
+
+#[test]
+fn exhausted_worker_retries_fail_each_request_shape_with_its_typed_variant() {
+    // A tile that panics on every attempt exhausts every retry budget. The
+    // exact value and gradient sweeps surface it as `ServicePanic` (their
+    // failure is contained around the whole batched sweep); the shift and
+    // shot-value fan-outs surface it as `WorkerPanic`. The shot gradient
+    // has no injectable tile, so it is not driven here. Nine coalesced rows
+    // exceed one exact tile, so the branch-weighted exact sweeps fan out.
+    let _guard = serialized();
+    const N: usize = 9;
+    let program =
+        parse_program("q1 *= RX(a); case M[q1] = 0 -> q2 *= RY(b), 1 -> q2 *= RZ(c) end").unwrap();
+    let params = Params::from_pairs([("a", 0.3), ("b", -0.7), ("c", 1.9)]);
+    let obs = Observable::pauli_z(2, 1);
+    let shapes = [
+        (
+            Query::value(params.clone(), obs.clone(), Mode::Exact),
+            "ServicePanic",
+        ),
+        (
+            Query::gradient(params.clone(), obs.clone(), Mode::Exact),
+            "ServicePanic",
+        ),
+        (
+            Query::shift_gradient(params.clone(), obs.clone()),
+            "WorkerPanic",
+        ),
+        (
+            Query::value(params.clone(), obs.clone(), Mode::Shots(64)),
+            "WorkerPanic",
+        ),
+    ];
+    qdp_par::set_max_threads(2);
+    for (query, want) in &shapes {
+        let service = Arc::new(GradientService::with_admission(N));
+        let handle = service.register(&program).unwrap();
+        let fault = inject(FaultSite::Tile {
+            index: 0,
+            panics: usize::MAX,
+        });
+        let workers: Vec<_> = (0..N)
+            .map(|i| {
+                let (service, handle, query) =
+                    (Arc::clone(&service), handle.clone(), query.clone());
+                std::thread::spawn(move || {
+                    let psi = StateVector::basis_state(2, i % 4);
+                    let opts = RequestOptions::new().with_max_retries(0);
+                    service.submit(&handle, &query, &psi, i as u64, &opts)
+                })
+            })
+            .collect();
+        let results: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        drop(fault);
+        for (i, r) in results.iter().enumerate() {
+            let got = match r {
+                Err(QdpError::ServicePanic { .. }) => "ServicePanic",
+                Err(QdpError::WorkerPanic { .. }) => "WorkerPanic",
+                other => panic!("{query:?} client {i}: expected {want}, got {other:?}"),
+            };
+            assert_eq!(got, *want, "{query:?} client {i}");
+        }
+        assert_eq!(service.leader_failures(&handle), 1, "{query:?}");
+    }
+    qdp_par::set_max_threads(0);
 }
 
 #[test]

@@ -16,10 +16,10 @@
 //! runs within `δ`.
 
 use qdp_ad::estimator::{chernoff_shots, estimate_derivative_batched};
-use qdp_ad::{differentiate, Differentiated, GradientEngine};
+use qdp_ad::{differentiate, Differentiated, GradientEngine, Mode, Query};
 use qdp_lang::ast::Params;
 use qdp_lang::parse_program;
-use qdp_sim::{Observable, StateVector};
+use qdp_sim::{BatchedStates, Observable, StateVector};
 use std::sync::Mutex;
 
 /// Serializes the thread-override test against every other test in this
@@ -54,7 +54,7 @@ fn check_chernoff_budget(
     let mut abs_err_sum = 0.0;
     let mut within = 0u64;
     for seed in seeds {
-        let err = estimate_derivative_batched(diff, params, obs, psi, shots, seed) - exact;
+        let err = estimate_derivative_batched(diff, params, obs, psi, shots, seed).unwrap() - exact;
         sq_err_sum += err * err;
         abs_err_sum += err.abs();
         if err.abs() <= delta {
@@ -130,6 +130,7 @@ fn estimator_error_shrinks_as_the_budget_grows() {
         let sum: f64 = (0..16u64)
             .map(|seed| {
                 let err = estimate_derivative_batched(&diff, &params, &obs, &psi, shots, seed)
+                    .unwrap()
                     - exact;
                 err * err
             })
@@ -156,12 +157,20 @@ fn batched_estimator_is_bitwise_deterministic_under_forced_thread_counts() {
     let psi = StateVector::zero_state(2);
     // More shots than one SHOT_TILE so the tile fan-out actually splits.
     let shots = qdp_sim::SHOT_TILE * 3 + 17;
+    let forward = Query::value(params.clone(), obs.clone(), Mode::Shots(shots));
 
     let mut per_config: Vec<(u64, u64, Vec<u64>)> = Vec::new();
     for threads in [1usize, 2, 8] {
         qdp_par::set_max_threads(threads);
-        let est = estimate_derivative_batched(&diff, &params, &obs, &psi, shots, 99).to_bits();
-        let value = engine.value_pure_shots(&params, &obs, &psi, shots, 7).to_bits();
+        let est = estimate_derivative_batched(&diff, &params, &obs, &psi, shots, 99)
+            .unwrap()
+            .to_bits();
+        let value = engine
+            .evaluate(&forward, &BatchedStates::gather(&[&psi]), &[7])
+            .unwrap()
+            .remove(0)
+            .into_value()
+            .to_bits();
         let grad: Vec<u64> = engine
             .gradient_pure_shots(&params, &obs, &psi, 700, 13)
             .into_values()

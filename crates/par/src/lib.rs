@@ -33,10 +33,10 @@
 //!
 //! **Panic isolation.** Every item of a parallel map runs under
 //! [`std::panic::catch_unwind`], so a panicking tile never tears down the
-//! process by itself. [`try_par_map`] surfaces the failure as a typed
-//! [`TileError`] naming the lowest failing item index (deterministic under
-//! any thread interleaving); [`try_par_map_retry`] additionally re-runs
-//! failed items — valid because tiles are pure and order-invariant by
+//! process by itself. [`try_par_map_retry`] surfaces the failure as a
+//! typed [`TileError`] naming the lowest failing item index (deterministic
+//! under any thread interleaving) after re-running failed items a bounded
+//! number of times — valid because tiles are pure and order-invariant by
 //! contract, so a retry is bit-identical to a first-try success. [`par_map`]
 //! keeps its infallible signature by re-raising the original panic message
 //! on the calling thread, which also makes panic propagation identical
@@ -237,8 +237,7 @@ fn collect_tiles<R>(results: Vec<Result<R, String>>) -> Result<Vec<R>, TileError
 /// A panicking item re-raises its original panic message on the calling
 /// thread after every other item has completed — identical behaviour to
 /// the sequential fallback modulo the completion of later items. Use
-/// [`try_par_map`] or [`try_par_map_retry`] to receive a [`TileError`]
-/// instead.
+/// [`try_par_map_retry`] to receive a [`TileError`] instead.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -256,18 +255,10 @@ where
 /// item index — instead of tearing down the calling thread. All items run
 /// to completion before the error is reported, so the global thread budget
 /// is fully restored on return.
-pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, TileError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    collect_tiles(map_isolated(items, &f))
-}
-
-/// [`try_par_map`] with bounded retries: items that panicked are re-run
-/// sequentially on the calling thread, in index order, up to `max_retries`
-/// additional attempts each.
+///
+/// Items that panicked are re-run sequentially on the calling thread, in
+/// index order, up to `max_retries` additional attempts each
+/// (`max_retries = 0` reports the first failure as is).
 ///
 /// Retrying is sound because map items are pure functions of their input
 /// by the crate's determinism contract — a successful retry returns the
@@ -733,7 +724,7 @@ mod tests {
     #[test]
     fn try_par_map_matches_par_map_on_healthy_input() {
         let items: Vec<f64> = (0..4096).map(|i| (i as f64).cos()).collect();
-        let ok = try_par_map(&items, |&x| x * x).unwrap();
+        let ok = try_par_map_retry(&items, |&x| x * x, 0).unwrap();
         let plain = par_map(&items, |&x| x * x);
         assert_eq!(ok.len(), plain.len());
         for (a, b) in ok.iter().zip(plain.iter()) {
@@ -745,10 +736,14 @@ mod tests {
     fn try_par_map_reports_lowest_failing_index() {
         with_quiet_panics(|| {
             let items: Vec<usize> = (0..64).collect();
-            let err = try_par_map(&items, |&x| {
-                assert!(x != 13 && x != 40, "tile {x} exploded");
-                x * 2
-            })
+            let err = try_par_map_retry(
+                &items,
+                |&x| {
+                    assert!(x != 13 && x != 40, "tile {x} exploded");
+                    x * 2
+                },
+                0,
+            )
             .unwrap_err();
             assert_eq!(err.index, 13);
             assert!(err.message.contains("tile 13 exploded"), "{}", err.message);
@@ -822,10 +817,14 @@ mod tests {
         with_quiet_panics(|| {
             let items: Vec<usize> = (0..256).collect();
             for _ in 0..4 {
-                let _ = try_par_map(&items, |&x| {
-                    assert!(x % 97 != 96, "boom");
-                    x
-                });
+                let _ = try_par_map_retry(
+                    &items,
+                    |&x| {
+                        assert!(x % 97 != 96, "boom");
+                        x
+                    },
+                    0,
+                );
             }
             // Budget must be fully restored: a healthy run still parallelises
             // and produces the right answer.

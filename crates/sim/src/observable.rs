@@ -63,7 +63,7 @@ impl std::error::Error for ObservableError {}
 /// let z = Observable::pauli_z(2, 0);
 /// assert!((z.expectation(&DensityMatrix::pure_zero(2)) - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Observable {
     n_qubits: usize,
     targets: Vec<usize>,

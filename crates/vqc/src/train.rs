@@ -7,17 +7,17 @@
 //! descent, exactly as in the paper's case study.
 //!
 //! The dataset is packed once into a [`BatchedStates`] block at
-//! construction; every forward and gradient pass then evaluates the
-//! compiled multisets against **all** samples in one batched sweep
-//! (`GradientEngine::value_pure_batch` / `gradient_pure_batch`) instead of
-//! looping the per-sample engine — parameter slots and gate matrices are
-//! resolved once per epoch and shared by the whole batch. The results are
-//! numerically identical to the per-sample loop (see
+//! construction; every forward and gradient pass is then **one**
+//! [`GradientEngine::evaluate`] call over all samples — a batched exact
+//! sweep, or in shot-noise mode one sampled estimate per sample —
+//! instead of looping the per-sample engine: parameter slots and gate
+//! matrices are resolved once per epoch and shared by the whole batch.
+//! Exact results are numerically identical to the per-sample loop (see
 //! `crates/core/tests/batch_equivalence.rs`).
 
 use crate::loss::Loss;
 use crate::optim::Optimizer;
-use qdp_ad::{GradientEngine, TransformError};
+use qdp_ad::{Answer, GradientEngine, Mode, Query, TransformError};
 use qdp_lang::ast::{Params, Stmt};
 use qdp_sim::{derive_seed, BatchedStates, Observable, StateVector};
 use rand::rngs::StdRng;
@@ -347,39 +347,34 @@ impl Trainer {
         Params::from_pairs(self.params.iter().map(|(k, &v)| (k.clone(), v)))
     }
 
-    /// The derived stream of the current epoch (shot-noise mode).
-    fn epoch_stream(&self, cfg: &ShotNoise) -> u64 {
-        derive_seed(cfg.seed, self.shot_epoch)
+    /// The evaluation mode of the current epoch and its per-row seed
+    /// streams: exact (no seeds), or the shot budget `shots(cfg)` with row
+    /// `r` on sub-stream `2r + offset` of the epoch stream.
+    fn mode_and_seeds(&self, shots: fn(&ShotNoise) -> usize, offset: u64) -> (Mode, Vec<u64>) {
+        match &self.shot_noise {
+            None => (Mode::Exact, Vec::new()),
+            Some(cfg) => {
+                let stream = derive_seed(cfg.seed, self.shot_epoch);
+                let seeds = (0..self.batch.len() as u64)
+                    .map(|r| derive_seed(stream, 2 * r + offset))
+                    .collect();
+                (Mode::Shots(shots(cfg)), seeds)
+            }
+        }
     }
 
     /// Predictions `lθ(z)` for every sample under the current parameters —
     /// one batched sweep of the lowered forward program over all samples,
     /// or (in shot-noise mode) one trajectory-sampled estimate per sample.
     pub fn predictions(&self) -> Vec<f64> {
-        let params = self.params_struct();
-        match &self.shot_noise {
-            None => self
-                .engine
-                .value_pure_batch(&params, &self.observable, &self.batch),
-            Some(cfg) => {
-                // One batch call: the forward program and read-out are
-                // prepared once, and the rows (independent derived
-                // streams) fan out across `qdp_par` workers.
-                let stream = self.epoch_stream(cfg);
-                let inputs: Vec<StateVector> =
-                    (0..self.batch.len()).map(|r| self.batch.row_state(r)).collect();
-                let seeds: Vec<u64> = (0..self.batch.len())
-                    .map(|r| derive_seed(stream, 2 * r as u64))
-                    .collect();
-                self.engine.value_pure_shots_batch(
-                    &params,
-                    &self.observable,
-                    &inputs,
-                    cfg.value_shots,
-                    &seeds,
-                )
-            }
-        }
+        let (mode, seeds) = self.mode_and_seeds(|cfg| cfg.value_shots, 0);
+        let query = Query::value(self.params_struct(), self.observable.clone(), mode);
+        self.engine
+            .evaluate(&query, &self.batch, &seeds)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_iter()
+            .map(Answer::into_value)
+            .collect()
     }
 
     /// Total loss under the current parameters, from one batched forward
@@ -415,7 +410,6 @@ impl Trainer {
         loss: &impl Loss,
         preds: &[f64],
     ) -> BTreeMap<String, f64> {
-        let params = self.params_struct();
         let mut grads: BTreeMap<String, f64> =
             self.params.keys().map(|k| (k.clone(), 0.0)).collect();
         let outers: Vec<f64> = preds
@@ -426,51 +420,20 @@ impl Trainer {
         if outers.iter().all(|&outer| outer == 0.0) {
             return grads;
         }
-        match &self.shot_noise {
-            None => {
-                let inner = self
-                    .engine
-                    .gradient_pure_batch(&params, &self.observable, &self.batch);
-                for (row, outer) in inner.iter().zip(&outers) {
-                    if *outer == 0.0 {
-                        continue;
-                    }
-                    for (name, g) in row {
-                        *grads.get_mut(name).expect("known parameter") += outer * g;
-                    }
-                }
+        // One batched call over every sample; accumulation stays in row
+        // order, so the result is deterministic under any thread count.
+        let (mode, seeds) = self.mode_and_seeds(|cfg| cfg.gradient_shots, 1);
+        let query = Query::gradient(self.params_struct(), self.observable.clone(), mode);
+        let answers = self
+            .engine
+            .evaluate(&query, &self.batch, &seeds)
+            .unwrap_or_else(|e| panic!("{e}"));
+        for (answer, outer) in answers.into_iter().zip(&outers) {
+            if *outer == 0.0 {
+                continue;
             }
-            Some(cfg) => {
-                // One batch call over the rows with gradient signal: the
-                // per-parameter estimators are prepared once and shared
-                // across the `qdp_par` row fan-out (independent derived
-                // streams); accumulation stays in row order, so the
-                // result is deterministic under any thread count.
-                let stream = self.epoch_stream(cfg);
-                let live: Vec<(usize, f64)> = outers
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, outer)| outer != 0.0)
-                    .collect();
-                let inputs: Vec<StateVector> =
-                    live.iter().map(|&(r, _)| self.batch.row_state(r)).collect();
-                let seeds: Vec<u64> = live
-                    .iter()
-                    .map(|&(r, _)| derive_seed(stream, 2 * r as u64 + 1))
-                    .collect();
-                let rows = self.engine.gradient_pure_shots_batch(
-                    &params,
-                    &self.observable,
-                    &inputs,
-                    cfg.gradient_shots,
-                    &seeds,
-                );
-                for ((_, outer), row) in live.iter().zip(&rows) {
-                    for (name, g) in row {
-                        *grads.get_mut(name).expect("known parameter") += outer * g;
-                    }
-                }
+            for (name, g) in answer.into_gradient() {
+                *grads.get_mut(&name).expect("known parameter") += outer * g;
             }
         }
         grads
@@ -543,10 +506,12 @@ impl Trainer {
         optimizer: &mut dyn Optimizer,
         deadline: Duration,
     ) -> Vec<f64> {
-        let cutoff = Instant::now() + deadline;
+        // A deadline too far out to be represented as an `Instant` never
+        // passes.
+        let cutoff = Instant::now().checked_add(deadline);
         let mut history = Vec::new();
         for _ in 0..epochs {
-            if Instant::now() >= cutoff {
+            if cutoff.is_some_and(|c| Instant::now() >= c) {
                 break;
             }
             history.push(self.epoch(loss, optimizer));
@@ -665,23 +630,26 @@ mod tests {
         let mut unbounded = Trainer::new(&p1(), task::readout_observable(), data()).unwrap();
         unbounded.init_params_seeded(7);
 
-        let history = bounded.train_for(
-            8,
-            &SquaredLoss,
-            &mut GradientDescent::new(0.3),
-            Duration::from_secs(3600),
-        );
-        let reference = unbounded.train(8, &SquaredLoss, &mut GradientDescent::new(0.3));
-        assert_eq!(history.len(), reference.len());
-        for (i, (a, b)) in history.iter().zip(&reference).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "epoch {i} loss diverged");
-        }
-        for (name, v) in bounded.params() {
-            assert_eq!(
-                v.to_bits(),
-                unbounded.params()[name].to_bits(),
-                "parameter {name} diverged"
-            );
+        // `Duration::MAX` lies beyond the clock's range: no deadline at all.
+        for deadline in [Duration::from_secs(3600), Duration::MAX] {
+            let history =
+                bounded.train_for(8, &SquaredLoss, &mut GradientDescent::new(0.3), deadline);
+            let reference = unbounded.train(8, &SquaredLoss, &mut GradientDescent::new(0.3));
+            assert_eq!(history.len(), reference.len(), "{deadline:?}");
+            for (i, (a, b)) in history.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{deadline:?}: epoch {i} loss diverged"
+                );
+            }
+            for (name, v) in bounded.params() {
+                assert_eq!(
+                    v.to_bits(),
+                    unbounded.params()[name].to_bits(),
+                    "{deadline:?}: parameter {name} diverged"
+                );
+            }
         }
     }
 
