@@ -16,7 +16,7 @@
 
 use crate::cache::{CompiledSkeleton, ProgramCache};
 use crate::estimator::PreparedDerivativeEstimator;
-use crate::lowered::LoweredSet;
+use crate::lowered::{LoweredSet, SharedPrefix};
 use crate::semantics::observable_semantics;
 use crate::transform::{fresh_ancilla, transform, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// Bounded retry budget for panicked worker tiles in this module's
 /// parallel fan-outs. Every fanned-out closure here is pure per call, so
 /// a retry is bit-identical to a first-try success.
-const TILE_RETRIES: usize = 2;
+pub(crate) const TILE_RETRIES: usize = 2;
 
 /// Extracts the human-readable message from a panic payload (the two
 /// payload shapes `panic!` produces, with a fallback for exotic ones).
@@ -278,36 +278,29 @@ impl Differentiated {
 
     /// Pure-input fast path of [`derivative`](Self::derivative): evaluates
     /// the *lowered* multiset (resolved indices, interned parameter slots)
-    /// in parallel. Agrees with the dense path to numerical precision and
-    /// with the AST interpreter bit-for-bit.
+    /// by shared-prefix execution, as
+    /// [`GradientEngine::gradient_pure`] does for one parameter: the
+    /// programs' common gate prefix runs once on the ancilla-extended
+    /// state and each program runs only its suffix, in parallel waves.
+    ///
+    /// The result carries the bits of summing
+    /// [`LoweredProgram::expectation_pure`](crate::lowered::LoweredProgram::expectation_pure)
+    /// over the multiset in multiset order, under any thread count; it
+    /// agrees with the dense path to numerical precision and with the AST
+    /// interpreter bit-for-bit. Live state is one extended state plus one
+    /// reused branch buffer per worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`QdpError::WorkerPanic`] message when a program's
+    /// tile still panics after the bounded bit-identical retries.
     pub fn derivative_pure(&self, params: &Params, obs: &Observable, psi: &StateVector) -> f64 {
         let ext_obs = obs.with_ancilla_z();
         let ext_psi = StateVector::zero_state(1).tensor(psi);
         let skeleton = self.skeleton();
-        let values = skeleton.lowered().slot_values(params);
-        self.derivative_pure_prepared(skeleton.lowered(), &values, &ext_obs, &ext_psi)
-    }
-
-    /// [`derivative_pure`](Self::derivative_pure) with the ancilla extension,
-    /// slot values, and interned lowering already resolved — what
-    /// [`GradientEngine`] calls so the shared setup (including the one cache
-    /// lookup per parameter) happens once per gradient, not once per
-    /// parameter per evaluation step.
-    pub(crate) fn derivative_pure_prepared(
-        &self,
-        lowered: &LoweredSet,
-        values: &[f64],
-        ext_obs: &Observable,
-        ext_psi: &StateVector,
-    ) -> f64 {
-        qdp_par::try_par_map_retry(
-            lowered.programs(),
-            |p| p.expectation_pure(values, ext_psi, ext_obs),
-            TILE_RETRIES,
-        )
-        .unwrap_or_else(|e| panic!("{}", QdpError::from(e)))
-        .into_iter()
-        .sum()
+        let lowered = skeleton.lowered();
+        let values = lowered.slot_values(params);
+        SharedPrefix::build(&[lowered]).expectations(&[lowered], &[values], ext_psi, &ext_obs)[0]
     }
 
     /// Batched pure-input evaluation of [`derivative_pure`](Self::derivative_pure):
@@ -478,6 +471,10 @@ pub struct GradientEngine {
     /// is cheap derived indexing, not a compilation: the lowerings it
     /// indexes into live in the process-wide [`ProgramCache`].
     slot_remaps: std::sync::OnceLock<BTreeMap<String, Vec<usize>>>,
+    /// The shared-prefix plan of every parameter's multiset (in `diffs`
+    /// key order), built lazily on the first pure gradient like
+    /// `slot_remaps`, against the same interned lowerings.
+    shared_prefix: std::sync::OnceLock<SharedPrefix>,
 }
 
 impl GradientEngine {
@@ -497,6 +494,7 @@ impl GradientEngine {
             register,
             diffs,
             slot_remaps: std::sync::OnceLock::new(),
+            shared_prefix: std::sync::OnceLock::new(),
         })
     }
 
@@ -533,6 +531,22 @@ impl GradientEngine {
                     (name.clone(), remap)
                 })
                 .collect()
+        })
+    }
+
+    /// The interned lowering of every parameter's multiset, in `diffs` key
+    /// order, fetched serially so the cache lookups stay off the workers.
+    fn skeletons(&self) -> Vec<Arc<CompiledSkeleton>> {
+        self.diffs.values().map(Differentiated::skeleton).collect()
+    }
+
+    /// The shared-prefix plan of all parameters' multisets, built on first
+    /// use.
+    fn shared_prefix(&self) -> &SharedPrefix {
+        self.shared_prefix.get_or_init(|| {
+            let skeletons = self.skeletons();
+            let sets: Vec<&LoweredSet> = skeletons.iter().map(|s| s.lowered()).collect();
+            SharedPrefix::build(&sets)
         })
     }
 
@@ -593,10 +607,34 @@ impl GradientEngine {
         .collect()
     }
 
-    /// The full gradient on a pure input (fast path): the ancilla-extended
-    /// observable/state and the parameter valuation are resolved **once**
-    /// and shared across all per-parameter evaluations (which then run in
-    /// parallel with zero string lookups).
+    /// The full gradient on a pure input (fast path), by **shared-prefix
+    /// execution** of all parameters' multisets at once.
+    ///
+    /// By the Sequence rule every compiled program is the forward program
+    /// with one gate swapped for its gadget, so the programs of all
+    /// parameters share long gate prefixes. They form one trie, built once
+    /// per engine: two programs share an op only when it is the same
+    /// lowered op (same gate, canonical parameter, offset and targets, or
+    /// a bit-identical fixed matrix), and sharing stops at a program's first
+    /// `Init`/`Case`/`Abort`, where the per-row branch enumerator takes
+    /// over. The calling thread walks the trie's spine once on the
+    /// ancilla-extended state; programs run only their suffixes, in waves of
+    /// `qdp_par::max_threads()` retried tiles, each copying the read-only
+    /// spine state into a reused branch buffer.
+    ///
+    /// **Bits.** Every entry equals summing
+    /// [`LoweredProgram::expectation_pure`](crate::lowered::LoweredProgram::expectation_pure)
+    /// over the parameter's multiset in multiset order, bit for bit, under
+    /// any thread count. **Memory.** Live state is one extended spine plus
+    /// one reused buffer per worker; no state is allocated per program
+    /// except where a suffix hands off to the branch enumerator.
+    /// [`gate_passes`](Self::gate_passes) counts the gate applications.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a parameter has no value, or with the
+    /// [`QdpError::WorkerPanic`] message when a tile still panics after the
+    /// bounded bit-identical retries.
     pub fn gradient_pure(
         &self,
         params: &Params,
@@ -614,30 +652,36 @@ impl GradientEngine {
                     .unwrap_or_else(|| panic!("parameter '{name}' has no value"))
             })
             .collect();
-        let slot_remaps = self.slot_remaps();
-        // Intern serially before the fan-out: the cache lookups (hash +
-        // bucket scan under one lock) stay off the worker threads.
-        let entries: Vec<(&String, &Differentiated, Arc<CompiledSkeleton>)> = self
-            .diffs
-            .iter()
-            .map(|(name, diff)| (name, diff, diff.skeleton()))
+        let values: Vec<Vec<f64>> = self
+            .slot_remaps()
+            .values()
+            .map(|remap| remap.iter().map(|&i| canonical[i]).collect())
             .collect();
-        qdp_par::par_map(&entries, |(name, diff, skeleton)| {
-            let remap = &slot_remaps[*name];
-            let values: Vec<f64> = remap.iter().map(|&i| canonical[i]).collect();
-            (
-                (*name).clone(),
-                diff.derivative_pure_prepared(skeleton.lowered(), &values, &ext_obs, &ext_psi),
-            )
-        })
-        .into_iter()
-        .collect()
+        let skeletons = self.skeletons();
+        let sets: Vec<&LoweredSet> = skeletons.iter().map(|s| s.lowered()).collect();
+        let derivatives = self
+            .shared_prefix()
+            .expectations(&sets, &values, ext_psi, &ext_obs);
+        self.diffs.keys().cloned().zip(derivatives).collect()
     }
 
     /// Total number of circuit programs per full gradient evaluation —
     /// `Σj |#∂/∂θj(P)|`, the paper's resource-count headline (Section 7).
     pub fn total_programs(&self) -> usize {
         self.diffs.values().map(|d| d.compiled().len()).sum()
+    }
+
+    /// Gate applications per exact single-state gradient
+    /// ([`gradient_pure`](Self::gradient_pure)) after prefix sharing: the
+    /// shared spine once plus each program's gate suffix past its branch
+    /// point — the edge count of the engine's shared-prefix trie. Without
+    /// sharing it would be the programs' total gate count. Counts one
+    /// thread: with more, each wave tile also replays the few spine gates
+    /// between the wave's first branch point and its own. Gates past a
+    /// program's first `Init`/`Case`/`Abort` run per measurement branch
+    /// and are not counted.
+    pub fn gate_passes(&self) -> usize {
+        self.shared_prefix().gate_passes()
     }
 
     /// Shot-based estimate of the full gradient on one pure input:

@@ -36,11 +36,23 @@
 //! ([`ResolvedProgram::expectation_pure`]) they agree to numerical
 //! precision (≪ 1e-12 — fusion and leaf-summation order move rounding,
 //! nothing else).
+//!
+//! # Shared-prefix evaluation
+//!
+//! A single-state exact gradient evaluates the multisets of **every**
+//! parameter on one input. Their programs are the forward program with one
+//! gate swapped for a gadget, so [`SharedPrefix`] walks their common gate
+//! prefix once and runs only each program's suffix — bit for bit the
+//! per-program oracle's results ([`LoweredProgram::expectation_pure`]),
+//! with far fewer gate passes.
 
 use qdp_lang::ast::{Gate, Params, Stmt};
 use qdp_lang::Register;
 use qdp_linalg::Matrix;
 use qdp_sim::{BatchedStates, Measurement, Observable, ShotEngine, StateVector};
+use std::sync::{Mutex, PoisonError};
+
+use crate::exec::TILE_RETRIES;
 
 /// Branches below this squared norm are pruned (matches `denot` and the
 /// branch-weighted batched executor).
@@ -202,10 +214,13 @@ impl LoweredSet {
         let resolved: Vec<ResolvedProgram<'_>> =
             self.programs.iter().map(|p| p.resolve(values)).collect();
         // Pure per program, so a panicked worker tile retries
-        // bit-identically (twice) before the failure is surfaced.
-        let per_program: Vec<Vec<f64>> =
-            qdp_par::try_par_map_retry(&resolved, |p| p.expectation_batch(states, obs), 2)
-                .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
+        // bit-identically before the failure is surfaced.
+        let per_program: Vec<Vec<f64>> = qdp_par::try_par_map_retry(
+            &resolved,
+            |p| p.expectation_batch(states, obs),
+            TILE_RETRIES,
+        )
+        .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
         (0..rows)
             .map(|r| per_program.iter().map(|per_row| per_row[r]).sum())
             .collect()
@@ -571,8 +586,14 @@ impl ResolvedProgram<'_> {
     /// one input state, by per-row branch enumeration (the retained
     /// oracle; see [`run_from`](Self::run_from)).
     pub fn expectation_pure(&self, psi: &StateVector, obs: &Observable) -> f64 {
+        self.expectation_from(0, psi.clone(), obs)
+    }
+
+    /// [`expectation_pure`](Self::expectation_pure) of the program's ops
+    /// from `start` on, with `psi` the state before op `start`.
+    fn expectation_from(&self, start: usize, psi: StateVector, obs: &Observable) -> f64 {
         let mut branches = Vec::new();
-        self.run_from(0, psi.clone(), &mut branches);
+        self.run_from(start, psi, &mut branches);
         branches.iter().map(|b| obs.expectation_pure(b)).sum()
     }
 
@@ -695,6 +716,276 @@ impl ResolvedProgram<'_> {
     }
 }
 
+/// Applies a unitary op of a resolved gate prefix.
+fn apply_unitary(op: &ResolvedOp<'_>, psi: &mut StateVector) {
+    match op {
+        ResolvedOp::Gate { matrix, targets } => psi.apply_gate(matrix, targets),
+        ResolvedOp::FixedGate { matrix, targets } => psi.apply_gate(matrix, targets),
+        _ => unreachable!("gate prefixes hold only unitaries"),
+    }
+}
+
+/// Whether two lowered ops are the same unitary under any valuation: the
+/// same gate (kind, axis, parameter name and offset, which also fixes the
+/// canonical parameter) with bit-identical offsets, or bit-identical fixed
+/// matrices, on the same targets. Same ops apply the same bits.
+fn same_unitary(a: &Op, b: &Op) -> bool {
+    let (
+        Op::Gate {
+            gate: ga,
+            offset: oa,
+            targets: ta,
+            fixed: fa,
+            ..
+        },
+        Op::Gate {
+            gate: gb,
+            offset: ob,
+            targets: tb,
+            fixed: fb,
+            ..
+        },
+    ) = (a, b)
+    else {
+        return false;
+    };
+    ta == tb
+        && match (fa, fb) {
+            (Some(ma), Some(mb)) => same_bits(ma, mb),
+            (None, None) => ga == gb && oa.to_bits() == ob.to_bits(),
+            _ => false,
+        }
+}
+
+/// Whether two matrices hold the same entries, bit for bit.
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    let (a, b) = (a.as_slice(), b.as_slice());
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+/// One program of a [`SharedPrefix`] plan and where it leaves the spine.
+#[derive(Clone, Copy, Debug)]
+struct Branch {
+    /// The program's multiset: an index into the plan's sets.
+    set: usize,
+    /// The program's index in its multiset.
+    program: usize,
+    /// Spine depth at which the program leaves the spine: its ops
+    /// `0..at` are spine ops `0..at`.
+    at: usize,
+    /// End of the program's gate prefix — the index of its first
+    /// `Init`/`Case`/`Abort`, or its op count.
+    end: usize,
+}
+
+/// Shared-prefix execution of several lowered multisets on one input
+/// state — the single-state exact gradient.
+///
+/// By the Sequence rule `∂(S1;S2) = (S1; ∂S2) + (∂S1; S2)` every compiled
+/// derivative program is the forward program with one gate swapped for its
+/// gadget, so the programs of all parameters share long gate prefixes.
+/// The plan is a trie over those prefixes whose one shared path, the
+/// **spine**, runs once; each program hangs off the spine at its branch
+/// point and runs only its suffix. Two programs share an op only when it is
+/// the same lowered op ([`same_unitary`]), and sharing stops at a
+/// program's first `Init`/`Case`/`Abort`, where the per-row branch
+/// enumerator ([`ResolvedProgram::run_from`]) takes over at that op index.
+/// Every program's state at every op is therefore the state the per-program
+/// oracle ([`LoweredProgram::expectation_pure`]) reaches, bit for bit.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SharedPrefix {
+    /// A program (set, index) whose first `spine_len` ops are the spine.
+    spine: (usize, usize),
+    spine_len: usize,
+    /// Every program of every set, in branch-point order.
+    branches: Vec<Branch>,
+}
+
+impl SharedPrefix {
+    /// Builds the plan of `sets`.
+    ///
+    /// The spine follows, depth by depth, the largest group of programs
+    /// that agree on the next op (the earliest group on ties) while two or
+    /// more do; every other program branches off where it leaves.
+    pub(crate) fn build(sets: &[&LoweredSet]) -> Self {
+        let op = |b: &Branch, depth: usize| &sets[b.set].programs[b.program].ops[depth];
+        let mut on: Vec<Branch> = sets
+            .iter()
+            .enumerate()
+            .flat_map(|(set, s)| {
+                s.programs
+                    .iter()
+                    .enumerate()
+                    .map(move |(program, p)| Branch {
+                        set,
+                        program,
+                        at: 0,
+                        end: p
+                            .ops
+                            .iter()
+                            .position(|op| !matches!(op, Op::Gate { .. }))
+                            .unwrap_or(p.ops.len()),
+                    })
+            })
+            .collect();
+        let mut plan = SharedPrefix::default();
+        let mut depth = 0;
+        loop {
+            let (ended, going): (Vec<Branch>, Vec<Branch>) =
+                on.into_iter().partition(|b| b.end == depth);
+            let mut groups: Vec<Vec<Branch>> = Vec::new();
+            for b in going {
+                match groups
+                    .iter_mut()
+                    .find(|g| same_unitary(op(&g[0], depth), op(&b, depth)))
+                {
+                    Some(g) => g.push(b),
+                    None => groups.push(vec![b]),
+                }
+            }
+            let stay = groups
+                .iter()
+                .enumerate()
+                .rev()
+                .max_by_key(|(_, g)| g.len())
+                .filter(|(_, g)| g.len() >= 2)
+                .map(|(i, _)| i);
+            let next = stay.map(|i| groups.remove(i));
+            plan.branches.extend(
+                ended
+                    .into_iter()
+                    .chain(groups.into_iter().flatten())
+                    .map(|b| Branch { at: depth, ..b }),
+            );
+            match next {
+                Some(g) => {
+                    plan.spine = (g[0].set, g[0].program);
+                    on = g;
+                    depth += 1;
+                }
+                None => break,
+            }
+        }
+        plan.spine_len = depth;
+        plan
+    }
+
+    /// Gate applications per evaluation on one thread: the spine once plus
+    /// every program's gate suffix past its branch point — the trie's edge
+    /// count. Gates past a program's first `Init`/`Case`/`Abort` run per
+    /// measurement branch and are not counted.
+    pub(crate) fn gate_passes(&self) -> usize {
+        self.spine_len + self.branches.iter().map(|b| b.end - b.at).sum::<usize>()
+    }
+
+    /// Per set, `Σᵢ Σ_branches ⟨ψb|O|ψb⟩` over its programs run on `psi`,
+    /// summed in multiset order — the bits of summing
+    /// [`LoweredProgram::expectation_pure`] over the set. `values[k]` holds
+    /// the slot values of `sets[k]`, which must be the sets the plan was
+    /// built from.
+    ///
+    /// The calling thread walks the spine on `psi` itself. Programs run in
+    /// waves of `qdp_par::max_threads()` tiles through
+    /// `try_par_map_retry`: a tile copies the read-only spine state at the
+    /// wave's first branch point into a reused branch buffer, replays the
+    /// spine gates up to its own branch point, then runs its suffix.
+    /// Tiles write only their buffer, so a retried tile is bit-identical.
+    /// Live state is the spine plus one buffer per concurrently running
+    /// tile; only a suffix that reaches an `Init`/`Case`/`Abort` hands a
+    /// copy of its buffer to the branch enumerator.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`qdp_sim::QdpError::WorkerPanic`] message, naming
+    /// the program's position in branch-point order, when a tile still
+    /// panics after the bounded retries.
+    pub(crate) fn expectations(
+        &self,
+        sets: &[&LoweredSet],
+        values: &[Vec<f64>],
+        mut psi: StateVector,
+        obs: &Observable,
+    ) -> Vec<f64> {
+        let (set, program) = self.spine;
+        let spine = (self.spine_len > 0).then(|| sets[set].programs[program].resolve(&values[set]));
+        let spine_ops = spine.as_ref().map_or(&[][..], |p| &p.ops[..self.spine_len]);
+        // Idle branch buffers. The lock is held only for one `pop` or
+        // `push`, which leave the pool valid, so a poisoned lock is safe
+        // to recover.
+        let buffers: Mutex<Vec<StateVector>> = Mutex::new(Vec::new());
+        let mut per_program: Vec<Vec<f64>> =
+            sets.iter().map(|s| vec![0.0; s.programs.len()]).collect();
+        let wave = qdp_par::max_threads();
+        let mut walked = 0;
+        for (w, tiles) in self.branches.chunks(wave).enumerate() {
+            let from = tiles[0].at;
+            for op in &spine_ops[walked..from] {
+                apply_unitary(op, &mut psi);
+            }
+            walked = from;
+            let snapshot = &psi;
+            let tiles: Vec<(usize, &Branch)> = tiles
+                .iter()
+                .enumerate()
+                .map(|(k, b)| (w * wave + k, b))
+                .collect();
+            let got = qdp_par::try_par_map_retry(
+                &tiles,
+                |&(tile, b)| {
+                    qdp_sim::fault::tile_checkpoint(tile);
+                    let program = sets[b.set].programs[b.program].resolve(&values[b.set]);
+                    let reused = buffers.lock().unwrap_or_else(PoisonError::into_inner).pop();
+                    let mut buf = match reused {
+                        Some(mut buf) => {
+                            let (re, im) = snapshot.planes();
+                            let (buf_re, buf_im) = buf.planes_mut();
+                            buf_re.copy_from_slice(re);
+                            buf_im.copy_from_slice(im);
+                            buf
+                        }
+                        None => snapshot.clone(),
+                    };
+                    for op in spine_ops[from..b.at]
+                        .iter()
+                        .chain(&program.ops[b.at..b.end])
+                    {
+                        apply_unitary(op, &mut buf);
+                    }
+                    let value = if b.end == program.ops.len() {
+                        // The one branch the enumerator would return.
+                        std::iter::once(obs.expectation_pure(&buf)).sum()
+                    } else {
+                        program.expectation_from(b.end, buf.clone(), obs)
+                    };
+                    buffers
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(buf);
+                    value
+                },
+                TILE_RETRIES,
+            )
+            .unwrap_or_else(|e| {
+                let e = qdp_par::TileError {
+                    index: w * wave + e.index,
+                    ..e
+                };
+                panic!("{}", qdp_sim::QdpError::from(e))
+            });
+            for (&(_, b), v) in tiles.iter().zip(got) {
+                per_program[b.set][b.program] = v;
+            }
+        }
+        per_program
+            .into_iter()
+            .map(|v| v.into_iter().sum())
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,8 +1002,9 @@ mod tests {
 
         let lowered = set.programs()[0].expectation_pure(&slots, &psi, &obs);
         let interpreted = denot::expectation_pure(&p, &reg, &params, &psi, &obs);
-        assert!(
-            (lowered - interpreted).abs() < 1e-14,
+        assert_eq!(
+            lowered.to_bits(),
+            interpreted.to_bits(),
             "{src}: lowered {lowered} vs interpreted {interpreted}"
         );
     }
@@ -836,6 +1128,41 @@ mod tests {
         let none = LoweredSet::default();
         let batch = qdp_sim::BatchedStates::zero(3, 1);
         assert_eq!(none.expectation_batch(&[], &batch, &obs), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn shared_prefix_shares_only_identical_ops() {
+        // The first two programs share a fixed and a parameterized op.
+        // Every other one leaves them at one of those two ops, differing in
+        // exactly one part of the sharing key: fixed matrix, axis, offset,
+        // parameter, or targets.
+        let srcs = [
+            "q1 *= H; q1 *= RX(a); q1, q2 *= RZZ(a)",
+            "q1 *= H; q1 *= RX(a); q1, q2 *= RXX(a)",
+            "q1 *= X; q1 *= RX(a); q1, q2 *= RZZ(a)",
+            "q1 *= H; q1 *= RY(a); q1, q2 *= RZZ(a)",
+            "q1 *= H; q1 *= RX(a + pi/2); q1, q2 *= RZZ(a)",
+            "q1 *= H; q1 *= RX(b); q1, q2 *= RZZ(a)",
+            "q1 *= H; q2 *= RX(a); q1, q2 *= RZZ(a)",
+        ];
+        let programs: Vec<Stmt> = srcs.iter().map(|s| parse_program(s).unwrap()).collect();
+        let reg = Register::from_program(&programs[0]);
+        let set = LoweredSet::lower(&programs, &reg);
+        let plan = SharedPrefix::build(&[&set]);
+        // The 2-op spine, then 3 ops for the program leaving at op 0, 2 for
+        // each of the four leaving at op 1, and 1 for each of the first two.
+        assert_eq!(plan.gate_passes(), 2 + 3 + 4 * 2 + 2);
+
+        let values = set.slot_values(&Params::from_pairs([("a", 0.7), ("b", -1.3)]));
+        let psi = StateVector::basis_state(reg.len(), 2);
+        let obs = Observable::pauli_z(reg.len(), 0);
+        let oracle: f64 = set
+            .programs()
+            .iter()
+            .map(|p| p.expectation_pure(&values, &psi, &obs))
+            .sum();
+        let shared = plan.expectations(&[&set], &[values], psi, &obs)[0];
+        assert_eq!(shared.to_bits(), oracle.to_bits());
     }
 
     #[test]

@@ -56,6 +56,46 @@ fn gradient_is_bitwise_deterministic_across_thread_counts() {
     assert_eq!(bits(&dense_parallel), bits(&dense_repeat));
 }
 
+/// The same check at a width where the parallel leg really runs in
+/// parallel: the 2-qubit program above has 8 extended amplitudes, far below
+/// the kernels' split threshold, and too few programs for several waves. A
+/// one-layer 14-qubit hardware-efficient ansatz runs its 42 derivative
+/// programs on 2¹⁵ amplitudes, so gates split across kernel workers and
+/// programs run in multi-tile waves.
+#[test]
+fn wide_gradient_is_bitwise_deterministic_across_thread_counts() {
+    let _guard = GLOBAL_STATE.lock().unwrap();
+    let n = 14;
+    let mut src: Vec<String> = Vec::new();
+    for q in 1..=n {
+        src.push(format!("q{q} *= RY(y{q}); q{q} *= RZ(z{q})"));
+    }
+    for q in 1..n {
+        src.push(format!("q{q}, q{} *= CNOT", q + 1));
+    }
+    for q in 1..=n {
+        src.push(format!("q{q} *= RY(f{q})"));
+    }
+    let engine = GradientEngine::new(&parse_program(&src.join("; ")).unwrap()).unwrap();
+    assert_eq!(engine.total_programs(), 42);
+    let params = Params::from_pairs(
+        engine
+            .parameters()
+            .enumerate()
+            .map(|(i, p)| (p.to_string(), 0.1 + 0.37 * i as f64)),
+    );
+    let obs = Observable::pauli_z(n, 0);
+    let psi = StateVector::zero_state(n);
+
+    qdp_par::set_max_threads(1);
+    let serial = engine.gradient_pure(&params, &obs, &psi);
+    qdp_par::set_max_threads(8);
+    let parallel = engine.gradient_pure(&params, &obs, &psi);
+    qdp_par::set_max_threads(0);
+
+    assert_eq!(bits(&serial), bits(&parallel));
+}
+
 /// End-to-end validation of every fast path the gradient exercises: the same
 /// gradient computed with the reference kernels agrees to 1e-12.
 #[test]

@@ -155,9 +155,11 @@ pub(crate) fn kernel_checkpoint(n_qubits: usize, rows: usize, re: &mut [f64], im
 
 /// Hook called at the top of each parallel tile closure with the tile's
 /// deterministic index. Panics when an armed [`FaultSite::Tile`] plan
-/// targets this tile and still has panics to spend.
+/// targets this tile and still has panics to spend. Public because fan-outs
+/// in downstream crates (the wave tiles of `qdp_ad`'s shared-prefix
+/// gradient) take part too.
 #[inline]
-pub(crate) fn tile_checkpoint(tile: usize) {
+pub fn tile_checkpoint(tile: usize) {
     if !ARMED.load(Ordering::Relaxed) {
         return;
     }
@@ -182,7 +184,7 @@ pub(crate) fn tile_checkpoint(tile: usize) {
 }
 
 /// Hook called by `qdp_ad::GradientService` at the start of each coalesced
-/// leader sweep. Public (unlike the in-crate kernel/tile hooks) because the
+/// leader sweep. Public (unlike the in-crate kernel hook) because the
 /// service lives in a downstream crate. Panics while an armed
 /// [`FaultSite::Service`] plan still has panics to spend.
 #[inline]

@@ -163,6 +163,20 @@ mod tests {
     }
 
     #[test]
+    fn ansatz_gradient_runs_its_shared_forward_prefix_once() {
+        // 18 qubits, one layer: 71 forward gates, 54 parameters at gate
+        // positions 0..36 and 53..71. Each of the 54 derivative programs
+        // swaps one rotation for its 3-gate gadget (73 gates), so unshared
+        // they take 54 × 73 = 3942 passes. Shared, the 70 forward gates
+        // before the last rotation run once, and the program whose gadget
+        // replaces the gate at position k runs its 73 − k gates from there:
+        // 70 + Σ_k (73 − k) = 70 + 3942 − 1737 = 2275.
+        let engine = GradientEngine::new(&hardware_efficient_ansatz(18, 1)).unwrap();
+        assert_eq!(engine.total_programs(), 54);
+        assert_eq!(engine.gate_passes(), 2275);
+    }
+
+    #[test]
     fn ansatz_can_reach_the_classical_ising_ground_state() {
         // With J=1, h=0 the ground states are |00⟩/|11⟩; RY(0)=identity
         // already gives ⟨H⟩ = −1 = E0 from |00⟩.
