@@ -20,16 +20,33 @@
 //! equality before sharing, so a 64-bit collision costs a bucket scan but
 //! can never alias two different programs onto one skeleton.
 //!
+//! # Memoized lookups
+//!
+//! The hot callers — every `Differentiated` and each `GradientEngine`'s
+//! forward program — skip the key on warm calls. Each holds a memo: its
+//! fingerprint, computed on the first lookup, and a **weak** handle on the
+//! cache entry that lookup reached. A warm call upgrades the handle and
+//! returns the entry's skeleton: no hashing, no map lock, no deep compare,
+//! and no hit counted in [`ProgramCache::counters`]. The memo changes
+//! nothing the bounded cache means:
+//!
+//! * **Residency.** The handle is weak, so an idle holder never keeps an
+//!   evicted or flushed entry — or its skeleton — alive. Once the entry is
+//!   gone the upgrade fails and the next call interns as usual.
+//! * **Recency.** A memo hit sets the entry's second-chance bit exactly as
+//!   a warm intern does, so the clock still evicts cold programs before
+//!   the ones every call uses.
+//!
 //! # Bounded residency
 //!
 //! A long-lived multi-program server cannot let the cache grow
 //! monotonically. A cache built with [`ProgramCache::with_capacity`]
 //! charges each entry a **cost weight** — the skeleton's total lowered op
-//! count plus its trajectory patch slots, a direct proxy for the matrices
-//! and op lists held resident — and never holds more total weight than the
-//! capacity. Overflow evicts by **second-chance** (clock) order: entries
-//! touched since their last consideration get one more lap before they go.
-//! Three properties keep eviction safe:
+//! count plus its templates' parameterised gates, a direct proxy for the
+//! matrices and op lists held resident — and never holds more total weight
+//! than the capacity. Overflow evicts by **second-chance** (clock) order:
+//! entries touched since their last consideration get one more lap before
+//! they go. Three properties keep eviction safe:
 //!
 //! * **Warm hits are bitwise-unchanged**: a hit returns the same
 //!   `Arc<CompiledSkeleton>` the first touch built; eviction only governs
@@ -37,7 +54,9 @@
 //! * **Pinning by `Arc`**: an evicted skeleton stays fully usable for as
 //!   long as any caller holds its `Arc` — eviction drops the cache's
 //!   reference, nothing else. A later intern of the same program simply
-//!   recompiles a fresh entry.
+//!   recompiles a fresh entry. Memos pin nothing: a holder's weak handle
+//!   dies with the entry, and its next call recompiles like any other
+//!   intern (see "Memoized lookups").
 //! * **Oversized bypass**: a program whose weight alone exceeds the
 //!   capacity is built and returned but never kept resident, so one huge
 //!   program cannot wipe the whole working set.
@@ -60,33 +79,25 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use qdp_lang::{multiset_fingerprint, Register, Stmt};
 use qdp_sim::TrajProgram;
 
-use crate::lowered::{LoweredSet, TrajSkeleton};
+use crate::lowered::{LoweredProgram, LoweredSet, TrajSkeleton};
 
 /// Everything parameter-independent about one compiled multiset, built once
-/// at intern time: the lowered op lists (constant matrices hoisted) and one
-/// patchable trajectory skeleton per program.
+/// at intern time: the lowered op lists (constant matrices hoisted), the
+/// gate-table recipes and one trajectory template per program.
 #[derive(Debug)]
 pub struct CompiledSkeleton {
     lowered: LoweredSet,
-    trajectories: Vec<TrajSkeleton>,
 }
 
 impl CompiledSkeleton {
     fn build(compiled: &[Stmt], reg: &Register) -> Self {
-        let lowered = LoweredSet::lower(compiled, reg);
-        let trajectories = lowered
-            .programs()
-            .iter()
-            .map(crate::lowered::LoweredProgram::to_skeleton)
-            .collect();
         CompiledSkeleton {
-            lowered,
-            trajectories,
+            lowered: LoweredSet::lower(compiled, reg),
         }
     }
 
@@ -95,35 +106,38 @@ impl CompiledSkeleton {
         &self.lowered
     }
 
-    /// One patchable trajectory skeleton per lowered program, in multiset
-    /// order.
+    /// One trajectory template per lowered program, in multiset order.
     pub fn trajectories(&self) -> &[TrajSkeleton] {
-        &self.trajectories
+        self.lowered.trajectories()
     }
 
-    /// Substitutes a valuation into program `i`'s skeleton — bit-identical
-    /// to `lowered().programs()[i].resolve(values).to_trajectory()` with
-    /// only the parameterized matrices rebuilt.
+    /// Substitutes a valuation into program `i`'s template — bit-identical
+    /// to `lowered().programs()[i].resolve(values).to_trajectory()`.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of range or `values` is shorter than the slot
     /// table.
     pub fn trajectory_at(&self, i: usize, values: &[f64]) -> TrajProgram {
-        self.trajectories[i].at(values)
+        self.trajectories()[i].at(values)
     }
 
     /// The cost weight residency charges for this skeleton: total lowered
-    /// ops (counting nested measurement arms) plus trajectory patch slots.
-    /// Always at least 1, so bookkeeping can never free an entry for free.
+    /// ops (counting nested measurement arms) plus the templates'
+    /// parameterised gates. Always at least 1, so bookkeeping can never
+    /// free an entry for free.
     fn weight(&self) -> usize {
         let ops: usize = self
             .lowered
             .programs()
             .iter()
-            .map(crate::lowered::LoweredProgram::op_weight)
+            .map(LoweredProgram::op_weight)
             .sum();
-        let patches: usize = self.trajectories.iter().map(TrajSkeleton::patch_count).sum();
+        let patches: usize = self
+            .trajectories()
+            .iter()
+            .map(TrajSkeleton::patch_count)
+            .sum();
         (ops + patches).max(1)
     }
 }
@@ -145,6 +159,42 @@ struct Entry {
     /// never-reused entry is the first eviction candidate), cleared for
     /// one lap of grace when the clock hand passes the entry.
     referenced: AtomicBool,
+}
+
+impl Entry {
+    /// The built skeleton, marking the entry referenced for the clock —
+    /// what a warm [`SkeletonMemo`] hit does in place of a lookup.
+    fn touch(&self) -> Option<Arc<CompiledSkeleton>> {
+        let skeleton = self.cell.get()?;
+        self.referenced.store(true, Ordering::Relaxed);
+        Some(Arc::clone(skeleton))
+    }
+}
+
+/// A holder's O(1) route back to the skeleton it last interned: the
+/// program's fingerprint, computed on first need, and a **weak** handle on
+/// its cache entry (see the module docs, "Memoized lookups").
+#[derive(Debug, Default)]
+pub(crate) struct SkeletonMemo {
+    key: OnceLock<u64>,
+    entry: Mutex<Weak<Entry>>,
+}
+
+impl SkeletonMemo {
+    /// The memoized entry. The lock guards one `Weak` that every update
+    /// leaves valid, so a poisoned lock is safe to recover.
+    fn entry(&self) -> MutexGuard<'_, Weak<Entry>> {
+        self.entry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for SkeletonMemo {
+    fn clone(&self) -> Self {
+        SkeletonMemo {
+            key: self.key.clone(),
+            entry: Mutex::new(self.entry().clone()),
+        }
+    }
 }
 
 /// Usage counters of one interned program (see
@@ -282,12 +332,43 @@ impl ProgramCache {
     /// register).
     pub fn intern(&self, compiled: &[Stmt], reg: &Register) -> Arc<CompiledSkeleton> {
         self.intern_keyed(multiset_fingerprint(compiled, reg), compiled, reg)
+            .1
+    }
+
+    /// [`intern`](Self::intern) through a holder's memo: while the entry
+    /// the memo last reached is alive (resident, or mid-eviction), a warm
+    /// call upgrades the memo's weak handle, marks the entry referenced
+    /// and returns its skeleton — no fingerprint, no map lock, no deep
+    /// compare, no hit counted. Otherwise it interns as usual (the
+    /// fingerprint computed once per memo) and remembers the entry.
+    ///
+    /// `memo` must only ever be used with this one cache.
+    pub(crate) fn intern_memo(
+        &self,
+        memo: &SkeletonMemo,
+        compiled: &[Stmt],
+        reg: &Register,
+    ) -> Arc<CompiledSkeleton> {
+        let warm = memo.entry().upgrade().and_then(|entry| entry.touch());
+        if let Some(skeleton) = warm {
+            return skeleton;
+        }
+        let key = *memo.key.get_or_init(|| multiset_fingerprint(compiled, reg));
+        let (entry, skeleton) = self.intern_keyed(key, compiled, reg);
+        *memo.entry() = Arc::downgrade(&entry);
+        skeleton
     }
 
     /// The intern body, with the key supplied by the caller — split out so
     /// collision behaviour is testable (two different programs forced onto
-    /// one key must still get distinct skeletons).
-    fn intern_keyed(&self, key: u64, compiled: &[Stmt], reg: &Register) -> Arc<CompiledSkeleton> {
+    /// one key must still get distinct skeletons). Returns the entry too,
+    /// for [`intern_memo`](Self::intern_memo).
+    fn intern_keyed(
+        &self,
+        key: u64,
+        compiled: &[Stmt],
+        reg: &Register,
+    ) -> (Arc<Entry>, Arc<CompiledSkeleton>) {
         let entry = {
             let mut inner = self.lock_inner();
             let bucket = inner.buckets.entry(key).or_default();
@@ -363,7 +444,7 @@ impl ProgramCache {
             entry.hits.fetch_add(1, Ordering::Relaxed);
             entry.referenced.store(true, Ordering::Relaxed);
         }
-        skeleton
+        (entry, skeleton)
     }
 
     /// Reconfigures the residency bound (`None` = unbounded), evicting
@@ -455,15 +536,15 @@ mod tests {
         let cache = ProgramCache::new();
         let (p1, reg1) = program("q1 *= RX(a)");
         let (p2, reg2) = program("q1 *= RY(b); q1 *= H");
-        let s1 = cache.intern_keyed(42, &p1, &reg1);
-        let s2 = cache.intern_keyed(42, &p2, &reg2);
+        let s1 = cache.intern_keyed(42, &p1, &reg1).1;
+        let s2 = cache.intern_keyed(42, &p2, &reg2).1;
         assert!(!Arc::ptr_eq(&s1, &s2), "collision must not alias skeletons");
         assert_eq!(s1.lowered().param_names(), ["a"]);
         assert_eq!(s2.lowered().param_names(), ["b"]);
         assert_eq!(cache.unique_programs(), 2);
         assert_eq!(cache.total_lowers(), 2);
         // Re-interning under the collided key still finds the right entry.
-        assert!(Arc::ptr_eq(&s1, &cache.intern_keyed(42, &p1, &reg1)));
+        assert!(Arc::ptr_eq(&s1, &cache.intern_keyed(42, &p1, &reg1).1));
     }
 
     #[test]

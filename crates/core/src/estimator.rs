@@ -195,8 +195,8 @@ pub struct PreparedDerivativeEstimator {
 /// observable. Everything here depends only on (program, observable) —
 /// **not** on the parameter values — so a caller evaluating many
 /// valuations (a parameter-shift sweep, a training loop) builds this once
-/// and calls [`prepare`](Self::prepare) per valuation, which re-patches
-/// only the shifted parameter slots.
+/// and calls [`prepare`](Self::prepare) per valuation, which binds only
+/// the parameterised gates.
 #[derive(Clone, Debug)]
 pub struct DerivativeEstimatorSkeleton {
     skeleton: std::sync::Arc<crate::cache::CompiledSkeleton>,
@@ -216,8 +216,8 @@ impl DerivativeEstimatorSkeleton {
         }
     }
 
-    /// Substitutes one valuation: clones the trajectory templates and
-    /// overwrites only the parameterized matrices
+    /// Substitutes one valuation: binds each program's trajectory template
+    /// to the valuation's parameterised matrices
     /// ([`crate::TrajSkeleton::at`]). Bit-identical to resolving the
     /// multiset from scratch under the same valuation.
     ///

@@ -14,16 +14,16 @@
 //! shift gradient, exact or under a shot budget — and
 //! [`GradientEngine::evaluate`] answers it for a batch of inputs.
 
-use crate::cache::{CompiledSkeleton, ProgramCache};
+use crate::cache::{CompiledSkeleton, ProgramCache, SkeletonMemo};
 use crate::estimator::PreparedDerivativeEstimator;
-use crate::lowered::{LoweredSet, SharedPrefix};
+use crate::lowered::{gate_table, GateRecipe, LoweredSet, SharedPrefix};
 use crate::semantics::observable_semantics;
 use crate::transform::{fresh_ancilla, transform, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
 use qdp_lang::{compile, denot, Register};
 use qdp_sim::{
-    derive_seed, BatchedStates, DensityMatrix, Observable, ProjectiveObservable, QdpError,
-    ShotEngine, StateVector,
+    derive_seed, BatchedStates, DensityMatrix, GateTable, Observable, ProjectiveObservable,
+    QdpError, ShotEngine, StateVector,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -85,6 +85,8 @@ pub struct Differentiated {
     compiled: Vec<Stmt>,
     base_register: Register,
     ext_register: Register,
+    /// The route back to the interned skeleton (see [`Self::skeleton`]).
+    memo: SkeletonMemo,
 }
 
 /// Differentiates `program` with respect to `param`: transformation plus
@@ -138,6 +140,7 @@ pub fn differentiate_in(
         compiled,
         base_register: base_register.clone(),
         ext_register,
+        memo: SkeletonMemo::default(),
     })
 }
 
@@ -329,14 +332,24 @@ impl Differentiated {
 
     /// The compiled skeleton (lowered multiset with resolved qubit indices,
     /// interned parameter slots, pre-built measurements and constant
-    /// matrices, plus patchable trajectory templates), interned through the
-    /// process-wide [`ProgramCache`]: the first `Differentiated` of a given
-    /// (multiset, register) pair anywhere in the process compiles it, every
-    /// later one — including clones and re-differentiations of the same
-    /// program — shares that one skeleton. Public so batch evaluators and
-    /// future backends can drive [`LoweredSet::expectation_batch`] directly.
+    /// matrices, plus the programs' trajectory templates), interned through
+    /// the process-wide [`ProgramCache`]: the first `Differentiated` of a
+    /// given (multiset, register) pair anywhere in the process compiles it,
+    /// every later one — including clones and re-differentiations of the
+    /// same program — shares that one skeleton. Public so batch evaluators
+    /// and future backends can drive [`LoweredSet::expectation_batch`]
+    /// directly.
+    ///
+    /// A warm call costs O(1): the `Differentiated` memoizes a weak handle
+    /// on its cache entry, so while the entry is resident the call upgrades
+    /// it and marks it referenced for the cache's eviction clock — no
+    /// fingerprint, no cache lock, no deep compare. The memo never keeps
+    /// the skeleton alive: once the cache evicts or flushes the entry and
+    /// no caller holds its `Arc`, the skeleton is freed, and the next call
+    /// interns again (the fingerprint is computed once per
+    /// `Differentiated`).
     pub fn skeleton(&self) -> Arc<CompiledSkeleton> {
-        ProgramCache::global().intern(&self.compiled, &self.ext_register)
+        ProgramCache::global().intern_memo(&self.memo, &self.compiled, &self.ext_register)
     }
 }
 
@@ -475,6 +488,25 @@ pub struct GradientEngine {
     /// key order), built lazily on the first pure gradient like
     /// `slot_remaps`, against the same interned lowerings.
     shared_prefix: std::sync::OnceLock<SharedPrefix>,
+    /// The gate table one batched gradient shares across every
+    /// parameter's multiset, built lazily like `slot_remaps`.
+    gate_plan: std::sync::OnceLock<GatePlan>,
+    /// The route back to the interned forward skeleton (see
+    /// [`Self::forward_skeleton`]).
+    forward_memo: SkeletonMemo,
+}
+
+/// The distinct parameterised gates of all parameters' multisets: a
+/// batched gradient builds each one's matrix once per call and every
+/// multiset reads it through a remapped [`GateTable`].
+#[derive(Clone, Debug)]
+struct GatePlan {
+    /// Per distinct gate its recipe, the slot being the canonical
+    /// parameter index (`diffs` key order).
+    gates: Vec<GateRecipe>,
+    /// Per parameter (`diffs` key order): its set's gate-table entry →
+    /// index into `gates`.
+    remaps: Vec<Vec<usize>>,
 }
 
 impl GradientEngine {
@@ -495,14 +527,21 @@ impl GradientEngine {
             diffs,
             slot_remaps: std::sync::OnceLock::new(),
             shared_prefix: std::sync::OnceLock::new(),
+            gate_plan: std::sync::OnceLock::new(),
+            forward_memo: SkeletonMemo::default(),
         })
     }
 
     /// The forward program as an interned one-element skeleton — the fast
     /// path of batched forward evaluation and the shift-rule gradient.
-    /// Compiled once per process via the shared [`ProgramCache`].
+    /// Compiled once per process via the shared [`ProgramCache`]; a warm
+    /// call is O(1), memoized like [`Differentiated::skeleton`].
     pub fn forward_skeleton(&self) -> Arc<CompiledSkeleton> {
-        ProgramCache::global().intern(std::slice::from_ref(&self.program), &self.register)
+        ProgramCache::global().intern_memo(
+            &self.forward_memo,
+            std::slice::from_ref(&self.program),
+            &self.register,
+        )
     }
 
     /// The per-parameter slot remaps, built (against the interned
@@ -531,6 +570,38 @@ impl GradientEngine {
                     (name.clone(), remap)
                 })
                 .collect()
+        })
+    }
+
+    /// The shared gate plan of all parameters' multisets, built (against
+    /// the interned lowerings and the slot remaps) on first use.
+    fn gate_plan(&self) -> &GatePlan {
+        self.gate_plan.get_or_init(|| {
+            let slot_remaps = self.slot_remaps();
+            let mut plan = GatePlan {
+                gates: Vec::new(),
+                remaps: Vec::new(),
+            };
+            for (name, diff) in &self.diffs {
+                let skeleton = diff.skeleton();
+                let remap = skeleton
+                    .lowered()
+                    .recipes()
+                    .iter()
+                    .map(|r| {
+                        let same = plan.gates.iter().position(|g| g.is(&r.gate, r.offset));
+                        same.unwrap_or_else(|| {
+                            plan.gates.push(GateRecipe {
+                                slot: slot_remaps[name][r.slot],
+                                ..r.clone()
+                            });
+                            plan.gates.len() - 1
+                        })
+                    })
+                    .collect();
+                plan.remaps.push(remap);
+            }
+            plan
         })
     }
 
@@ -730,11 +801,16 @@ impl GradientEngine {
     /// name, in one pass over all `parameters × programs × rows` tiles —
     /// the exact-gradient arm of [`evaluate`](Self::evaluate).
     ///
-    /// Shared setup (ancilla-extended observable and batch, canonical
-    /// valuation, slot remaps) happens once; per-parameter batch
-    /// evaluations then run in parallel, each splitting its own
-    /// `batch × programs` grid across `qdp_par` workers. Every entry
-    /// agrees with [`gradient_pure`](Self::gradient_pure) on that row to
+    /// Shared setup happens once per call: the ancilla-extended
+    /// observable and batch, the canonical valuation, and **one gate
+    /// table** for all parameters' multisets — each distinct
+    /// (gate, parameter, offset) matrix built a single time, read by every
+    /// multiset through a remapped [`GateTable`]. Per-parameter batch
+    /// evaluations then run in parallel, each sweeping its interned
+    /// templates over its own `batch × programs` grid. Every entry
+    /// carries the bits of [`LoweredSet::expectation_batch`] on that
+    /// parameter's multiset, and agrees with
+    /// [`gradient_pure`](Self::gradient_pure) on that row to
     /// numerical precision (≪ 1e-12; straight-line fusion reorders
     /// rounding), and the batch result is bit-for-bit deterministic under
     /// any thread count — `crates/core/tests/batch_equivalence.rs` is the
@@ -756,25 +832,30 @@ impl GradientEngine {
                     .unwrap_or_else(|| panic!("parameter '{name}' has no value"))
             })
             .collect();
-        let slot_remaps = self.slot_remaps();
-        let entries: Vec<(&String, Arc<CompiledSkeleton>)> = self
+        let plan = self.gate_plan();
+        // Each distinct gate's matrix, once for every multiset: the bits
+        // each set's own table holds, since a set's slot value is the
+        // canonical value of the same parameter.
+        let table = gate_table(&plan.gates, &canonical);
+        let entries: Vec<(Arc<CompiledSkeleton>, &Vec<usize>)> = self
             .diffs
-            .iter()
-            .map(|(name, diff)| (name, diff.skeleton()))
+            .values()
+            .map(Differentiated::skeleton)
+            .zip(&plan.remaps)
             .collect();
-        let per_param: Vec<Vec<f64>> = qdp_par::par_map(&entries, |(name, skeleton)| {
-            let remap = &slot_remaps[*name];
-            let values: Vec<f64> = remap.iter().map(|&i| canonical[i]).collect();
-            skeleton
-                .lowered()
-                .expectation_batch(&values, &ext_states, &ext_obs)
+        let per_param: Vec<Vec<f64>> = qdp_par::par_map(&entries, |(skeleton, remap)| {
+            skeleton.lowered().expectation_batch_with(
+                GateTable::remapped(&table, remap),
+                &ext_states,
+                &ext_obs,
+            )
         });
         (0..states.len())
             .map(|r| {
-                entries
-                    .iter()
+                self.diffs
+                    .keys()
                     .zip(&per_param)
-                    .map(|((name, _), derivs)| ((*name).clone(), derivs[r]))
+                    .map(|(name, derivs)| (name.clone(), derivs[r]))
                     .collect()
             })
             .collect()
@@ -939,7 +1020,7 @@ impl GradientEngine {
             Kind::Value(Mode::Shots(shots)) => {
                 let fwd = self.forward_skeleton();
                 let values = fwd.lowered().slot_values(params);
-                // The patched skeleton carries the identical bits a fresh
+                // The bound template carries the identical bits a fresh
                 // resolve-and-convert would: shot streams stay bit-stable
                 // across cold and warm cache states.
                 let engine = ShotEngine::new(fwd.trajectory_at(0, &values));

@@ -57,7 +57,10 @@ pub mod transform;
 
 pub use cache::{CacheCounters, CacheStats, CompiledSkeleton, ProgramCache};
 pub use exec::{differentiate, Answer, Differentiated, GradientEngine, Mode, Query};
-pub use lowered::{lower_invocations, LoweredProgram, LoweredSet, ResolvedProgram, TrajSkeleton};
+pub use lowered::{
+    lower_invocations, trajectory_conversions, LoweredProgram, LoweredSet, ResolvedProgram,
+    TrajSkeleton,
+};
 pub use service::{
     GradientService, OverloadPolicy, ProgramHandle, RequestOptions, ServiceConfig,
 };

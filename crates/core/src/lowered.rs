@@ -21,18 +21,26 @@
 //! Evaluating the same multiset against **many** input states (a training
 //! dataset, parallel shot batches) repeats yet more parameter-independent
 //! work: every gate matrix `Rσ(θ)` depends only on the valuation, not the
-//! state. [`LoweredSet::expectation_batch`] therefore resolves each program
-//! once per batch into a [`ResolvedProgram`] — slots substituted, every
-//! gate matrix built exactly once — and then fans the `batch × programs`
-//! tile grid out through `qdp_par::par_map`. Straight-line programs fuse
-//! commuting rotations and stream the whole batch per operator; branching
-//! programs convert to the [`qdp_sim::TrajProgram`] IR (the same lowered
-//! form the shot engine samples) and run the **branch-weighted exact
-//! sweep** [`qdp_sim::ShotEngine::expectation_sweep`] — all rows measured
-//! at once, the block forked into outcome-homogeneous sub-batches carrying
-//! branch weights, leaf read-outs summed per row. Tiles are reduced per
-//! row in multiset order, so results are bit-for-bit independent of the
-//! thread count; against the per-row oracle
+//! state. Lowering therefore also builds, once per set, a **gate table**
+//! recipe — one entry per distinct (gate, parameter, offset) — and one
+//! [`qdp_sim::TrajProgram`] **template** per program ([`TrajSkeleton`]):
+//! constant matrices and measurements final, every parameterised gate a
+//! table gate naming its entry. [`LoweredSet::expectation_batch`] builds
+//! the valuation's table once (each distinct matrix a single time) and
+//! fans the `batch × programs` tile grid out through `qdp_par`.
+//! Straight-line programs fuse commuting rotations and stream the whole
+//! batch per operator; branching programs run the **branch-weighted exact
+//! sweep** ([`qdp_sim::ShotEngine::try_expectation_sweep_with`]) over
+//! their interned template in place — all rows measured at once, the
+//! block forked into outcome-homogeneous sub-batches carrying branch
+//! weights, leaf read-outs summed per row. Nothing is resolved, converted
+//! or cloned per program per batch; a batched gradient shares one table
+//! across the multisets of all its parameters. Tiles are reduced per row
+//! in multiset order, so results are bit-for-bit independent of the
+//! thread count and equal to the retained per-valuation path
+//! ([`LoweredProgram::resolve`], then [`ResolvedProgram::expectation_batch`]
+//! — which converts branching programs with
+//! [`ResolvedProgram::to_trajectory`]); against the per-row oracle
 //! ([`ResolvedProgram::expectation_pure`]) they agree to numerical
 //! precision (≪ 1e-12 — fusion and leaf-summation order move rounding,
 //! nothing else).
@@ -49,8 +57,10 @@
 use qdp_lang::ast::{Gate, Params, Stmt};
 use qdp_lang::Register;
 use qdp_linalg::Matrix;
-use qdp_sim::{BatchedStates, Measurement, Observable, ShotEngine, StateVector};
-use std::sync::{Mutex, PoisonError};
+use qdp_sim::{
+    BatchedStates, GateTable, Measurement, Observable, ShotEngine, StateVector, TrajProgram,
+};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::exec::TILE_RETRIES;
 
@@ -60,6 +70,7 @@ const PRUNE: f64 = qdp_sim::BRANCH_PRUNE;
 
 thread_local! {
     static LOWER_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static TRAJECTORY_CONVERSIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// How many times [`LoweredSet::lower`] has run **on this thread** — the
@@ -71,26 +82,64 @@ pub fn lower_invocations() -> usize {
     LOWER_CALLS.with(std::cell::Cell::get)
 }
 
+/// How many [`qdp_sim::TrajProgram`]s [`ResolvedProgram::to_trajectory`]
+/// and [`TrajSkeleton::at`] have built **on this thread** — the probe
+/// behind "exact sweeps run the interned templates in place". Like
+/// [`lower_invocations`], it counts the calling thread only: run under one
+/// `qdp_par` thread to count a whole call.
+pub fn trajectory_conversions() -> usize {
+    TRAJECTORY_CONVERSIONS.with(std::cell::Cell::get)
+}
+
+fn count_conversion() {
+    TRAJECTORY_CONVERSIONS.with(|c| c.set(c.get() + 1));
+}
+
+/// Where a lowered gate's matrix comes from.
+#[derive(Clone, Debug)]
+enum Source {
+    /// The matrix, pre-built at lowering time, of a gate whose angle
+    /// carries no parameter: constant rotations, the Hadamards and
+    /// controlled shifts of the differentiation gadget, every Clifford.
+    Fixed(Matrix),
+    /// A parameterised gate: its angle is the value of slot `slot` plus
+    /// `offset` (the gadget's `θ + π` shifts), and its matrix is entry
+    /// `entry` of the set's gate table, built once per valuation.
+    Param {
+        slot: usize,
+        offset: f64,
+        entry: usize,
+    },
+}
+
+/// One distinct parameterised gate of a [`LoweredSet`]: the recipe of one
+/// gate-table entry. Gates equal in kind, parameter and offset bits share
+/// an entry.
+#[derive(Clone, Debug)]
+pub(crate) struct GateRecipe {
+    pub(crate) gate: Gate,
+    pub(crate) slot: usize,
+    pub(crate) offset: f64,
+}
+
+impl GateRecipe {
+    /// Whether an occurrence of `gate` at angle offset `offset` reads this
+    /// entry: the same gate (which names the parameter) and offset bits.
+    pub(crate) fn is(&self, gate: &Gate, offset: f64) -> bool {
+        self.gate == *gate && self.offset.to_bits() == offset.to_bits()
+    }
+}
+
 /// One lowered operation.
 #[derive(Clone, Debug)]
 enum Op {
     /// `abort`: drop the branch.
     Abort,
-    /// A unitary application with pre-resolved targets and parameter slot.
+    /// A unitary application with pre-resolved targets.
     Gate {
         gate: Gate,
-        /// Index into the run's slot values, or `None` for constant angles.
-        slot: Option<usize>,
-        /// Additive angle offset (the gadget's `θ + π` shifts).
-        offset: f64,
         targets: Vec<usize>,
-        /// The matrix, pre-built at lowering time, for gates whose angle
-        /// carries no parameter (`slot == None`): constant rotations, the
-        /// Hadamards and controlled shifts of the differentiation gadget,
-        /// every Clifford. Parameter-dependent matrices stay `None` and are
-        /// built per valuation by [`LoweredProgram::resolve`] — so a warm
-        /// skeleton re-patches only the shifted slots.
-        fixed: Option<Matrix>,
+        source: Source,
     },
     /// `q := |0⟩` with the Kraus pair pre-built.
     Init {
@@ -112,13 +161,20 @@ pub struct LoweredProgram {
 }
 
 /// A compiled multiset lowered against one register, with a shared
-/// parameter-slot table.
+/// parameter-slot table, a shared gate table and one trajectory template
+/// per program.
 #[derive(Clone, Debug, Default)]
 pub struct LoweredSet {
     programs: Vec<LoweredProgram>,
     /// Interned parameter names; slot `i` of a run valuation holds the value
     /// of `param_names[i]`.
     param_names: Vec<String>,
+    /// The distinct parameterised gates of every program, in first-use
+    /// order: entry `e` of a valuation's gate table is `recipes[e]`'s
+    /// matrix.
+    recipes: Arc<[GateRecipe]>,
+    /// One template per program, in multiset order.
+    templates: Vec<TrajSkeleton>,
     /// Size of the register the set was lowered against — input states
     /// must match it.
     n_qubits: usize,
@@ -132,19 +188,31 @@ impl LoweredSet {
     /// Panics when a program is additive or uses a variable outside `reg`.
     pub fn lower(compiled: &[Stmt], reg: &Register) -> Self {
         LOWER_CALLS.with(|c| c.set(c.get() + 1));
-        let mut set = LoweredSet {
-            n_qubits: reg.len(),
-            ..LoweredSet::default()
+        let mut lowering = Lowering {
+            reg,
+            names: Vec::new(),
+            recipes: Vec::new(),
         };
-        set.programs = compiled
+        let programs: Vec<LoweredProgram> = compiled
             .iter()
             .map(|p| {
                 let mut prog = LoweredProgram::default();
-                set_lower(p, reg, &mut set.param_names, &mut prog.ops);
+                lowering.lower(p, &mut prog.ops);
                 prog
             })
             .collect();
-        set
+        let recipes: Arc<[GateRecipe]> = lowering.recipes.into();
+        let templates = programs
+            .iter()
+            .map(|p| TrajSkeleton::new(p, &recipes))
+            .collect();
+        LoweredSet {
+            programs,
+            param_names: lowering.names,
+            recipes,
+            templates,
+            n_qubits: reg.len(),
+        }
     }
 
     /// The interned parameter names, in slot order.
@@ -174,22 +242,47 @@ impl LoweredSet {
         &self.programs
     }
 
+    /// One trajectory template per program, in multiset order.
+    pub fn trajectories(&self) -> &[TrajSkeleton] {
+        &self.templates
+    }
+
+    /// The distinct parameterised gates, in gate-table order.
+    pub(crate) fn recipes(&self) -> &[GateRecipe] {
+        &self.recipes
+    }
+
+    /// The gate table of a valuation: each distinct parameterised gate's
+    /// matrix, built once, in entry order — what the templates and the
+    /// straight-line path read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` is shorter than the slot table.
+    pub fn gate_table(&self, values: &[f64]) -> Vec<Matrix> {
+        gate_table(&self.recipes, values)
+    }
+
     /// Evaluates the whole multiset against **every** row of a batch in one
     /// pass: returns `out[r] = Σᵢ ⟨ψ·|O|ψ·⟩` over the branches of program
     /// `i` run on input row `r`.
     ///
-    /// Parameter slots are resolved **once** — each gate matrix is built a
-    /// single time and shared by all rows and branches — and the work is
-    /// split across `qdp_par` workers one program at a time: straight-line
+    /// The valuation's gate table ([`gate_table`](Self::gate_table)) is
+    /// built **once** — each distinct parameterised matrix a single time,
+    /// shared by every program, row and branch — and the work is split
+    /// across `qdp_par` workers one program at a time: straight-line
     /// programs stream every fused operator over the whole batch block in
     /// one kernel call each, and branching programs run the
-    /// branch-weighted exact sweep over the whole block (see
-    /// [`ResolvedProgram::expectation_batch`]). Per-row sums run in
-    /// multiset order over the order-preserving `par_map` output, so the
-    /// result is bit-for-bit deterministic under any thread count; it
-    /// agrees with the per-sample serial loop to numerical precision
-    /// (≪ 1e-12 — fusion and branch-weighted leaf summation reorder
-    /// rounding, nothing else).
+    /// branch-weighted exact sweep over their interned trajectory template
+    /// in place, reading constant matrices from the template and
+    /// parameterised ones from the table. Nothing is resolved, converted
+    /// or cloned per program. Per-row sums run in multiset order over the
+    /// order-preserving fan-out, so the result is bit-for-bit
+    /// deterministic under any thread count, and equals summing
+    /// [`ResolvedProgram::expectation_batch`] over the programs bit for
+    /// bit; it agrees with the per-sample serial loop to numerical
+    /// precision (≪ 1e-12 — fusion and branch-weighted leaf summation
+    /// reorder rounding, nothing else).
     ///
     /// # Panics
     ///
@@ -198,6 +291,19 @@ impl LoweredSet {
     pub fn expectation_batch(
         &self,
         values: &[f64],
+        states: &BatchedStates,
+        obs: &Observable,
+    ) -> Vec<f64> {
+        let table = self.gate_table(values);
+        self.expectation_batch_with(GateTable::new(&table), states, obs)
+    }
+
+    /// [`expectation_batch`](Self::expectation_batch) with the gate table
+    /// already built — how a gradient shares one table across the
+    /// multisets of all its parameters (a remapped [`GateTable`]).
+    pub(crate) fn expectation_batch_with(
+        &self,
+        table: GateTable<'_>,
         states: &BatchedStates,
         obs: &Observable,
     ) -> Vec<f64> {
@@ -211,13 +317,22 @@ impl LoweredSet {
             self.n_qubits,
             "batch register size must match the register the set was lowered against"
         );
-        let resolved: Vec<ResolvedProgram<'_>> =
-            self.programs.iter().map(|p| p.resolve(values)).collect();
+        let programs: Vec<(&LoweredProgram, &TrajSkeleton)> =
+            self.programs.iter().zip(&self.templates).collect();
         // Pure per program, so a panicked worker tile retries
         // bit-identically before the failure is surfaced.
         let per_program: Vec<Vec<f64>> = qdp_par::try_par_map_retry(
-            &resolved,
-            |p| p.expectation_batch(states, obs),
+            &programs,
+            |(program, template)| {
+                if program.straight_line() {
+                    fused_expectations(program.gates(table), states, obs)
+                } else {
+                    template
+                        .engine
+                        .try_expectation_sweep_with(table, states, obs)
+                        .unwrap_or_else(|e| panic!("{e}"))
+                }
+            },
             TILE_RETRIES,
         )
         .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
@@ -225,6 +340,24 @@ impl LoweredSet {
             .map(|r| per_program.iter().map(|per_row| per_row[r]).sum())
             .collect()
     }
+}
+
+/// Each recipe's matrix under `values` (indexed by the recipes' slots), in
+/// entry order — the arithmetic [`LoweredProgram::resolve`] performs for
+/// every occurrence.
+pub(crate) fn gate_table(recipes: &[GateRecipe], values: &[f64]) -> Vec<Matrix> {
+    recipes
+        .iter()
+        .map(|r| r.gate.matrix_at(values[r.slot] + r.offset))
+        .collect()
+}
+
+/// The lowering state of one set: the register, and the slot and gate
+/// tables every program of the set shares.
+struct Lowering<'r> {
+    reg: &'r Register,
+    names: Vec<String>,
+    recipes: Vec<GateRecipe>,
 }
 
 fn intern(names: &mut Vec<String>, name: &str) -> usize {
@@ -237,59 +370,79 @@ fn intern(names: &mut Vec<String>, name: &str) -> usize {
     }
 }
 
-fn set_lower(stmt: &Stmt, reg: &Register, names: &mut Vec<String>, out: &mut Vec<Op>) {
-    match stmt {
-        Stmt::Skip { .. } => {}
-        Stmt::Abort { .. } => out.push(Op::Abort),
-        Stmt::Init { q } => out.push(Op::Init {
-            k0: Matrix::from_real_rows(&[&[1.0, 0.0], &[0.0, 0.0]]),
-            k1: Matrix::from_real_rows(&[&[0.0, 1.0], &[0.0, 0.0]]),
-            target: reg.indices_of(std::slice::from_ref(q))[0],
-        }),
-        Stmt::Unitary { gate, qs } => {
-            let (slot, offset) = match gate.angle() {
-                Some(angle) => (
-                    angle.param.as_deref().map(|p| intern(names, p)),
-                    angle.offset,
-                ),
-                None => (None, 0.0),
-            };
-            // Parameter-independent matrices are built here, once per
-            // lowering, and shared by every subsequent resolve.
-            let fixed = match slot {
-                None => Some(gate.matrix_at(offset)),
-                Some(_) => None,
-            };
-            out.push(Op::Gate {
-                gate: gate.clone(),
-                slot,
-                offset,
-                targets: reg.indices_of(qs),
-                fixed,
-            });
+impl Lowering<'_> {
+    /// The gate-table entry of a parameterised gate, added on first use.
+    fn entry(&mut self, gate: &Gate, slot: usize, offset: f64) -> usize {
+        match self.recipes.iter().position(|r| r.is(gate, offset)) {
+            Some(e) => e,
+            None => {
+                self.recipes.push(GateRecipe {
+                    gate: gate.clone(),
+                    slot,
+                    offset,
+                });
+                self.recipes.len() - 1
+            }
         }
-        Stmt::Seq(a, b) => {
-            set_lower(a, reg, names, out);
-            set_lower(b, reg, names, out);
+    }
+
+    fn lower(&mut self, stmt: &Stmt, out: &mut Vec<Op>) {
+        let reg = self.reg;
+        match stmt {
+            Stmt::Skip { .. } => {}
+            Stmt::Abort { .. } => out.push(Op::Abort),
+            Stmt::Init { q } => out.push(Op::Init {
+                k0: Matrix::from_real_rows(&[&[1.0, 0.0], &[0.0, 0.0]]),
+                k1: Matrix::from_real_rows(&[&[0.0, 1.0], &[0.0, 0.0]]),
+                target: reg.indices_of(std::slice::from_ref(q))[0],
+            }),
+            Stmt::Unitary { gate, qs } => {
+                let (param, offset) = match gate.angle() {
+                    Some(angle) => (angle.param.as_deref(), angle.offset),
+                    None => (None, 0.0),
+                };
+                // Parameter-independent matrices are built here, once per
+                // lowering, and shared by every subsequent valuation.
+                let source = match param {
+                    None => Source::Fixed(gate.matrix_at(offset)),
+                    Some(p) => {
+                        let slot = intern(&mut self.names, p);
+                        Source::Param {
+                            slot,
+                            offset,
+                            entry: self.entry(gate, slot, offset),
+                        }
+                    }
+                };
+                out.push(Op::Gate {
+                    gate: gate.clone(),
+                    targets: reg.indices_of(qs),
+                    source,
+                });
+            }
+            Stmt::Seq(a, b) => {
+                self.lower(a, out);
+                self.lower(b, out);
+            }
+            Stmt::Case { qs, arms } => {
+                let meas = Measurement::computational(reg.indices_of(qs));
+                let arms = arms
+                    .iter()
+                    .map(|arm| {
+                        let mut prog = LoweredProgram::default();
+                        self.lower(arm, &mut prog.ops);
+                        prog
+                    })
+                    .collect();
+                out.push(Op::Case { meas, arms });
+            }
+            Stmt::While { .. } => {
+                // Bounded loops terminate statically: each unfold decrements
+                // the bound, so full unrolling at lowering time is finite.
+                self.lower(&stmt.unfold_while_once(), out);
+            }
+            Stmt::Sum(..) => panic!("lowering is defined on normal programs; compile first"),
         }
-        Stmt::Case { qs, arms } => {
-            let meas = Measurement::computational(reg.indices_of(qs));
-            let arms = arms
-                .iter()
-                .map(|arm| {
-                    let mut prog = LoweredProgram::default();
-                    set_lower(arm, reg, names, &mut prog.ops);
-                    prog
-                })
-                .collect();
-            out.push(Op::Case { meas, arms });
-        }
-        Stmt::While { .. } => {
-            // Bounded loops terminate statically: each unfold decrements the
-            // bound, so full unrolling at lowering time is finite.
-            set_lower(&stmt.unfold_while_once(), reg, names, out);
-        }
-        Stmt::Sum(..) => panic!("lowering is defined on normal programs; compile first"),
     }
 }
 
@@ -339,22 +492,17 @@ impl LoweredProgram {
                     Op::Abort => ResolvedOp::Abort,
                     Op::Gate {
                         gate,
-                        slot,
-                        offset,
                         targets,
-                        fixed,
-                    } => match (slot, fixed) {
+                        source,
+                    } => match source {
                         // Constant-angle gates borrow the matrix built at
                         // lowering time — zero trigonometry, zero allocation
                         // per valuation.
-                        (None, Some(matrix)) => ResolvedOp::FixedGate { matrix, targets },
-                        _ => {
-                            let theta = slot.map_or(0.0, |s| values[s]) + offset;
-                            ResolvedOp::Gate {
-                                matrix: gate.matrix_at(theta),
-                                targets,
-                            }
-                        }
+                        Source::Fixed(matrix) => ResolvedOp::FixedGate { matrix, targets },
+                        Source::Param { slot, offset, .. } => ResolvedOp::Gate {
+                            matrix: gate.matrix_at(values[*slot] + offset),
+                            targets,
+                        },
                     },
                     Op::Init { k0, k1, target } => ResolvedOp::Init {
                         k0,
@@ -371,30 +519,43 @@ impl LoweredProgram {
     }
 }
 
-/// The location and recipe of one parameter-dependent matrix inside a
-/// [`TrajSkeleton`] template.
-#[derive(Clone, Debug)]
-struct SlotPatch {
-    /// Path into the template: op index, then alternating arm index / op
-    /// index through nested `Case`s (the addressing scheme of
-    /// [`qdp_sim::TrajProgram::gate_matrix_mut`]).
-    path: Vec<usize>,
-    gate: Gate,
-    slot: usize,
-    offset: f64,
+impl LoweredProgram {
+    /// Whether the program is gates only — one branch per input row.
+    fn straight_line(&self) -> bool {
+        self.ops.iter().all(|op| matches!(op, Op::Gate { .. }))
+    }
+
+    /// The matrix and targets of every op of a straight-line program,
+    /// parameterised gates reading `table`.
+    fn gates<'a>(
+        &'a self,
+        table: GateTable<'a>,
+    ) -> impl Iterator<Item = (&'a Matrix, &'a [usize])> {
+        self.ops.iter().map(move |op| match op {
+            Op::Gate {
+                targets, source, ..
+            } => {
+                let matrix = match source {
+                    Source::Fixed(m) => m,
+                    Source::Param { entry, .. } => table.get(*entry),
+                };
+                (matrix, &targets[..])
+            }
+            _ => unreachable!("straight-line programs contain only gates"),
+        })
+    }
 }
 
-/// A pre-built [`qdp_sim::TrajProgram`] with **patchable parameter slots**
-/// — the per-valuation artifact of the compile-once pipeline.
+/// A program's [`qdp_sim::TrajProgram`] **template** — the per-program
+/// artifact of the compile-once pipeline. Every constant matrix,
+/// measurement and arm structure is final; each parameterised gate is a
+/// table gate naming its entry of the set's gate table
+/// ([`LoweredSet::gate_table`]).
 ///
-/// Building a trajectory program from scratch per valuation re-clones every
-/// constant matrix, re-resolves the read-out, and re-walks the op tree;
-/// only the parameterized matrices actually change. A skeleton does that
-/// walk once: the template holds every constant matrix, measurement, and
-/// arm structure final, with parameterized gates holding a placeholder
-/// matrix (their value at slot 0), and [`at`](Self::at) clones the template
-/// and overwrites **only** the recorded slot positions via
-/// `TrajProgram::gate_matrix_mut`.
+/// The exact batched path sweeps the template in place
+/// ([`ShotEngine::try_expectation_sweep_with`]) with the valuation's
+/// table: nothing is cloned or converted per valuation. [`at`](Self::at)
+/// materialises a standalone program for the sampled executors.
 ///
 /// `skeleton.at(&values)` is bit-identical to
 /// `program.resolve(&values).to_trajectory()`: both routes build every
@@ -402,93 +563,73 @@ struct SlotPatch {
 /// order is the same tree walk.
 #[derive(Clone, Debug)]
 pub struct TrajSkeleton {
-    template: qdp_sim::TrajProgram,
-    patches: Vec<SlotPatch>,
+    /// The template, wrapped once for sweeping.
+    engine: ShotEngine,
+    /// The set's gate-table recipes, for [`at`](Self::at).
+    recipes: Arc<[GateRecipe]>,
+    /// Parameterised gate ops in the template.
+    patches: usize,
 }
 
 impl TrajSkeleton {
-    /// Substitutes a valuation: clones the template and re-patches only the
-    /// parameterized matrices.
+    fn new(program: &LoweredProgram, recipes: &Arc<[GateRecipe]>) -> Self {
+        let mut patches = 0;
+        let template = template_of(&program.ops, &mut patches);
+        TrajSkeleton {
+            engine: ShotEngine::new(template),
+            recipes: Arc::clone(recipes),
+            patches,
+        }
+    }
+
+    /// Substitutes a valuation: the template with every table gate bound
+    /// to its matrix under `values`.
     ///
     /// # Panics
     ///
     /// Panics when `values` is shorter than the program's slot table.
-    pub fn at(&self, values: &[f64]) -> qdp_sim::TrajProgram {
-        let mut out = self.template.clone();
-        for p in &self.patches {
-            *out.gate_matrix_mut(&p.path) = p.gate.matrix_at(values[p.slot] + p.offset);
-        }
-        out
+    pub fn at(&self, values: &[f64]) -> TrajProgram {
+        count_conversion();
+        let table = gate_table(&self.recipes, values);
+        self.template().bound(GateTable::new(&table))
     }
 
-    /// How many parameterized slots the template re-patches per valuation.
+    /// The template: constant matrices built, parameterised gates reading
+    /// the set's gate table.
+    pub fn template(&self) -> &TrajProgram {
+        self.engine.program()
+    }
+
+    /// How many parameterised gate ops the template holds — the matrices
+    /// a valuation substitutes.
     pub fn patch_count(&self) -> usize {
-        self.patches.len()
+        self.patches
     }
 }
 
-impl LoweredProgram {
-    /// Builds the patchable trajectory skeleton of this program (see
-    /// [`TrajSkeleton`]). Placeholder matrices for parameterized gates are
-    /// built at angle `offset` and are always overwritten by
-    /// [`TrajSkeleton::at`].
-    pub fn to_skeleton(&self) -> TrajSkeleton {
-        let mut patches = Vec::new();
-        let mut prefix = Vec::new();
-        let template = skeleton_template(&self.ops, &mut prefix, &mut patches);
-        TrajSkeleton { template, patches }
-    }
-}
-
-fn skeleton_template(
-    ops: &[Op],
-    prefix: &mut Vec<usize>,
-    patches: &mut Vec<SlotPatch>,
-) -> qdp_sim::TrajProgram {
-    let mut out = qdp_sim::TrajProgram::new();
-    // Ops map 1:1 onto trajectory ops (`Skip` vanished at lowering time),
-    // so the template op index is the lowered op index.
-    for (i, op) in ops.iter().enumerate() {
+/// The template of a lowered op list, counting its parameterised gates.
+fn template_of(ops: &[Op], patches: &mut usize) -> TrajProgram {
+    let mut out = TrajProgram::new();
+    // Ops map 1:1 onto trajectory ops (`Skip` vanished at lowering time).
+    for op in ops {
         match op {
             Op::Abort => out.push_abort(),
             Op::Gate {
-                gate,
-                slot,
-                offset,
-                targets,
-                fixed,
-            } => {
-                if let Some(s) = slot {
-                    prefix.push(i);
-                    patches.push(SlotPatch {
-                        path: prefix.clone(),
-                        gate: gate.clone(),
-                        slot: *s,
-                        offset: *offset,
-                    });
-                    prefix.pop();
+                targets, source, ..
+            } => match source {
+                Source::Fixed(m) => out.push_gate(m.clone(), targets.clone()),
+                Source::Param { entry, .. } => {
+                    *patches += 1;
+                    out.push_table_gate(*entry, targets.clone());
                 }
-                let placeholder = match fixed {
-                    Some(m) => m.clone(),
-                    None => gate.matrix_at(*offset),
-                };
-                out.push_gate(placeholder, targets.clone());
-            }
+            },
             Op::Init { target, .. } => out.push_init(*target),
             Op::Case { meas, arms } => {
-                let arm_templates = arms
+                let arms = arms
                     .iter()
-                    .enumerate()
-                    .map(|(a, arm)| {
-                        prefix.push(i);
-                        prefix.push(a);
-                        let t = skeleton_template(&arm.ops, prefix, patches);
-                        prefix.pop();
-                        prefix.pop();
-                        t
-                    })
+                    .map(|arm| template_of(&arm.ops, patches))
                     .collect();
-                out.push_case(meas.clone(), arm_templates);
+                out.push_case(meas.clone(), arms);
             }
         }
     }
@@ -541,7 +682,7 @@ impl ResolvedProgram<'_> {
     ///
     /// This is the **retained per-row branch-enumeration oracle**: the
     /// production batched path runs the branch-weighted sweep on the
-    /// trajectory IR instead, and the randomized differential suite
+    /// trajectory templates instead, and the randomized differential suite
     /// (`crates/core/tests/branch_weighted_differential.rs`) pins the two
     /// against each other at 1e-12.
     fn run_from(&self, start: usize, mut psi: StateVector, out: &mut Vec<StateVector>) {
@@ -600,10 +741,11 @@ impl ResolvedProgram<'_> {
     /// Converts into an owned [`qdp_sim::TrajProgram`] — the **single
     /// lowered branching IR** both execution modes run: sampled trajectory
     /// sweeps ([`ShotEngine::run`]/[`ShotEngine::sample_sweep`]) and the
-    /// branch-weighted exact sweep
-    /// ([`ShotEngine::expectation_sweep`], the production path of
-    /// [`expectation_batch`](Self::expectation_batch) for branching
-    /// programs). Every gate matrix and measurement is carried over as-is.
+    /// branch-weighted exact sweep ([`ShotEngine::expectation_sweep`]).
+    /// Every gate matrix and measurement is carried over as-is. Production
+    /// sweeps run the interned templates in place ([`TrajSkeleton`]); this
+    /// conversion is their bitwise oracle, counted by
+    /// [`trajectory_conversions`].
     ///
     /// The only representational change is `q := |0⟩`: the per-row oracle
     /// enumerates both Kraus branches, while the trajectory form measures
@@ -612,8 +754,14 @@ impl ResolvedProgram<'_> {
     /// trajectories driven by the same streams match it bit for bit (and
     /// the exact sweep's branches agree with the Kraus pair to numerical
     /// precision).
-    pub fn to_trajectory(&self) -> qdp_sim::TrajProgram {
-        let mut out = qdp_sim::TrajProgram::new();
+    pub fn to_trajectory(&self) -> TrajProgram {
+        count_conversion();
+        self.trajectory()
+    }
+
+    /// [`to_trajectory`](Self::to_trajectory) without the probe count.
+    fn trajectory(&self) -> TrajProgram {
+        let mut out = TrajProgram::new();
         for op in &self.ops {
             match op {
                 ResolvedOp::Abort => out.push_abort(),
@@ -626,7 +774,7 @@ impl ResolvedProgram<'_> {
                 ResolvedOp::Init { target, .. } => out.push_init(*target),
                 ResolvedOp::Case { meas, arms } => out.push_case(
                     (*meas).clone(),
-                    arms.iter().map(ResolvedProgram::to_trajectory).collect(),
+                    arms.iter().map(ResolvedProgram::trajectory).collect(),
                 ),
             }
         }
@@ -653,11 +801,13 @@ impl ResolvedProgram<'_> {
     /// measurement-controlled programs the code transformation produces —
     /// convert to the trajectory IR ([`to_trajectory`](Self::to_trajectory))
     /// and run the **branch-weighted exact sweep**
-    /// ([`ShotEngine::expectation_sweep`]): all rows measured at once, the
-    /// block forked into outcome-homogeneous weighted sub-batches that
+    /// ([`ShotEngine::expectation_sweep`]): all rows measured at once,
+    /// the block forked into outcome-homogeneous weighted sub-batches that
     /// keep streaming batched (fused) kernel calls, leaf read-outs summed
     /// per row. Both paths share one IR with sampled execution; neither
-    /// decays to per-row evaluation.
+    /// decays to per-row evaluation. This is the retained per-valuation
+    /// oracle of [`LoweredSet::expectation_batch`], which runs the same
+    /// arithmetic on the interned templates.
     ///
     /// Fusion and leaf-summation order reorder rounding, so batched
     /// results agree with the per-row oracle
@@ -673,47 +823,59 @@ impl ResolvedProgram<'_> {
         if !straight_line {
             return ShotEngine::new(self.to_trajectory()).expectation_sweep(states.clone(), obs);
         }
-        let n = states.num_qubits();
-        let mut work = states.clone();
-        // Per-qubit pending product of not-yet-applied single-qubit gates;
-        // `pending[q] = g_k · … · g_1` in program order.
-        let mut pending: Vec<Option<Matrix>> = vec![None; n];
-        for op in &self.ops {
-            let (matrix, targets): (&Matrix, &[usize]) = match op {
-                ResolvedOp::Gate { matrix, targets } => (matrix, targets),
-                ResolvedOp::FixedGate { matrix, targets } => (matrix, targets),
-                _ => unreachable!("straight-line programs contain only gates"),
-            };
-            if let [t] = targets[..] {
-                pending[t] = Some(match pending[t].take() {
-                    None => matrix.clone(),
-                    Some(prev) => matrix.mul(&prev),
-                });
-            } else {
-                // A multi-qubit gate orders against the pending rotations
-                // of its own targets: flush those (ascending qubit order,
-                // deterministically), then apply the gate itself. Keeping
-                // the flushes as separate 1q passes preserves the gate's
-                // own kernel fast path (the gadget's controlled rotations
-                // are block-diagonal; absorbing the flushed products into
-                // the 4×4 would densify it and cost more than it saves).
-                let mut ts: Vec<usize> = targets.to_vec();
-                ts.sort_unstable();
-                for t in ts {
-                    if let Some(m) = pending[t].take() {
-                        work.apply_gate(&m, &[t]);
-                    }
-                }
-                work.apply_gate(matrix, targets);
-            }
-        }
-        for (t, slot) in pending.iter_mut().enumerate() {
-            if let Some(m) = slot.take() {
-                work.apply_gate(&m, &[t]);
-            }
-        }
-        work.expectations(obs)
+        let gates = self.ops.iter().map(|op| match op {
+            ResolvedOp::Gate { matrix, targets } => (matrix, *targets),
+            ResolvedOp::FixedGate { matrix, targets } => (*matrix, *targets),
+            _ => unreachable!("straight-line programs contain only gates"),
+        });
+        fused_expectations(gates, states, obs)
     }
+}
+
+/// The expectation on every row of a batch of a straight-line program
+/// given as its gates in program order: single-qubit gates fuse per qubit,
+/// and each surviving operator streams over the whole batch in one kernel
+/// call (see [`ResolvedProgram::expectation_batch`]).
+fn fused_expectations<'m>(
+    gates: impl Iterator<Item = (&'m Matrix, &'m [usize])>,
+    states: &BatchedStates,
+    obs: &Observable,
+) -> Vec<f64> {
+    let n = states.num_qubits();
+    let mut work = states.clone();
+    // Per-qubit pending product of not-yet-applied single-qubit gates;
+    // `pending[q] = g_k · … · g_1` in program order.
+    let mut pending: Vec<Option<Matrix>> = vec![None; n];
+    for (matrix, targets) in gates {
+        if let [t] = targets[..] {
+            pending[t] = Some(match pending[t].take() {
+                None => matrix.clone(),
+                Some(prev) => matrix.mul(&prev),
+            });
+        } else {
+            // A multi-qubit gate orders against the pending rotations of
+            // its own targets: flush those (ascending qubit order,
+            // deterministically), then apply the gate itself. Keeping the
+            // flushes as separate 1q passes preserves the gate's own
+            // kernel fast path (the gadget's controlled rotations are
+            // block-diagonal; absorbing the flushed products into the 4×4
+            // would densify it and cost more than it saves).
+            let mut ts: Vec<usize> = targets.to_vec();
+            ts.sort_unstable();
+            for t in ts {
+                if let Some(m) = pending[t].take() {
+                    work.apply_gate(&m, &[t]);
+                }
+            }
+            work.apply_gate(matrix, targets);
+        }
+    }
+    for (t, slot) in pending.iter_mut().enumerate() {
+        if let Some(m) = slot.take() {
+            work.apply_gate(&m, &[t]);
+        }
+    }
+    work.expectations(obs)
 }
 
 /// Applies a unitary op of a resolved gate prefix.
@@ -733,26 +895,24 @@ fn same_unitary(a: &Op, b: &Op) -> bool {
     let (
         Op::Gate {
             gate: ga,
-            offset: oa,
             targets: ta,
-            fixed: fa,
-            ..
+            source: sa,
         },
         Op::Gate {
             gate: gb,
-            offset: ob,
             targets: tb,
-            fixed: fb,
-            ..
+            source: sb,
         },
     ) = (a, b)
     else {
         return false;
     };
     ta == tb
-        && match (fa, fb) {
-            (Some(ma), Some(mb)) => same_bits(ma, mb),
-            (None, None) => ga == gb && oa.to_bits() == ob.to_bits(),
+        && match (sa, sb) {
+            (Source::Fixed(ma), Source::Fixed(mb)) => same_bits(ma, mb),
+            (Source::Param { offset: oa, .. }, Source::Param { offset: ob, .. }) => {
+                ga == gb && oa.to_bits() == ob.to_bits()
+            }
             _ => false,
         }
 }

@@ -28,16 +28,16 @@
 //! lock their `FaultGuard` holds.
 
 use qdp_ad::{
-    GradientEngine, GradientService, Mode, OverloadPolicy, ProgramCache, Query, RequestOptions,
-    ServiceConfig,
+    CompiledSkeleton, GradientEngine, GradientService, Mode, OverloadPolicy, ProgramCache, Query,
+    RequestOptions, ServiceConfig,
 };
-use qdp_lang::ast::Params;
+use qdp_lang::ast::{Params, Stmt};
 use qdp_lang::{parse_program, Register};
 use qdp_sim::fault::{fired_count, inject, FaultSite};
 use qdp_sim::{BatchedStates, Observable, QdpError, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 /// Serializes the thread-override tests in this binary.
@@ -481,8 +481,152 @@ fn cache_eviction_under_pressure_keeps_every_computed_bit_identical() {
     assert!(Arc::ptr_eq(&first, &second));
 }
 
+/// Restores the global cache's residency bound on drop.
+struct GlobalCapacity(Option<usize>);
+
+impl GlobalCapacity {
+    fn save() -> Self {
+        GlobalCapacity(ProgramCache::global().counters().capacity)
+    }
+}
+
+impl Drop for GlobalCapacity {
+    fn drop(&mut self) {
+        ProgramCache::global().set_capacity(self.0);
+    }
+}
+
+/// The multisets an engine interns: its forward program, then each
+/// parameter's derivative multiset.
+fn interned_programs(engine: &GradientEngine) -> Vec<(Vec<Stmt>, Register)> {
+    std::iter::once((vec![engine.program().clone()], engine.register().clone()))
+        .chain(engine.parameters().map(|p| {
+            let diff = engine.differentiated(p).unwrap();
+            (diff.compiled().to_vec(), diff.ext_register().clone())
+        }))
+        .collect()
+}
+
+/// One exact value and one exact gradient over a 3-row batch, as bits.
+fn exact_bits(engine: &GradientEngine, params: &Params) -> Vec<u64> {
+    let obs = Observable::pauli_z(2, 1);
+    let mut rng = StdRng::seed_from_u64(0xB175);
+    let inputs: Vec<StateVector> = (0..3).map(|_| random_state(&mut rng, 2)).collect();
+    let batch = BatchedStates::from_states(&inputs);
+    let value = Query::value(params.clone(), obs.clone(), Mode::Exact);
+    let gradient = Query::gradient(params.clone(), obs, Mode::Exact);
+    let mut bits = Vec::new();
+    for answer in engine.evaluate(&value, &batch, &[]).unwrap() {
+        bits.push(answer.into_value().to_bits());
+    }
+    for answer in engine.evaluate(&gradient, &batch, &[]).unwrap() {
+        bits.extend(answer.into_gradient().values().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+#[test]
+fn a_flushed_skeleton_is_freed_and_its_engine_recomputes_the_same_bits() {
+    let _guard = serialized();
+    let _restore = GlobalCapacity::save();
+    let program = parse_program(
+        "q1 *= RX(fa); case M[q1] = 0 -> q2 *= RY(fb), 1 -> q2 *= RZ(fa) end; q1, q2 *= RZZ(fb)",
+    )
+    .unwrap();
+    let engine = GradientEngine::new(&program).unwrap();
+    let params = Params::from_pairs([("fa", 0.7), ("fb", -1.3)]);
+    let before = exact_bits(&engine, &params);
+    let skeletons: Vec<Weak<CompiledSkeleton>> = std::iter::once(engine.forward_skeleton())
+        .chain(
+            engine
+                .parameters()
+                .map(|p| engine.differentiated(p).unwrap().skeleton()),
+        )
+        .map(|s| Arc::downgrade(&s))
+        .collect();
+    let cache = ProgramCache::global();
+    cache.set_capacity(Some(0));
+    cache.set_capacity(_restore.0);
+    for (i, s) in skeletons.iter().enumerate() {
+        assert!(
+            s.upgrade().is_none(),
+            "skeleton {i}: an idle engine must not keep a flushed skeleton alive"
+        );
+    }
+    assert_eq!(exact_bits(&engine, &params), before, "bits after the flush");
+    for (i, (p, reg)) in interned_programs(&engine).iter().enumerate() {
+        assert!(
+            cache.stats(p, reg).is_some(),
+            "program {i} is interned again"
+        );
+    }
+}
+
+#[test]
+fn a_skeleton_used_on_every_call_stays_resident_and_cold_ones_go_first() {
+    let _guard = serialized();
+    let _restore = GlobalCapacity::save();
+    let program =
+        parse_program("q1 *= RX(ha); case M[q1] = 0 -> q2 *= RY(hb), 1 -> q2 *= RZ(ha) end")
+            .unwrap();
+    let engine = GradientEngine::new(&program).unwrap();
+    let params = Params::from_pairs([("ha", 0.4), ("hb", 2.1)]);
+    let hot = interned_programs(&engine);
+    let cold: Vec<(Vec<Stmt>, Register)> = (0..5)
+        .map(|k| {
+            let p = parse_program(&format!("q1 *= RX(cold{k})")).unwrap();
+            let reg = Register::from_program(&p);
+            (vec![p], reg)
+        })
+        .collect();
+    // Room for the hot working set plus one cold program.
+    let probe = ProgramCache::new();
+    for (p, reg) in &hot {
+        probe.intern(p, reg);
+    }
+    probe.intern(&cold[0].0, &cold[0].1);
+    let capacity = probe.counters().weight;
+    let cache = ProgramCache::global();
+    cache.set_capacity(Some(0));
+    cache.set_capacity(Some(capacity));
+
+    let want = exact_bits(&engine, &params);
+    for (k, (p, reg)) in cold.iter().enumerate() {
+        // Warm calls reach their skeletons through the engine's memos,
+        // which must keep marking them used.
+        assert_eq!(exact_bits(&engine, &params), want, "round {k} bits");
+        cache.intern(p, reg);
+        let c = cache.counters();
+        assert!(
+            c.weight <= capacity,
+            "round {k}: weight {} over {capacity}",
+            c.weight
+        );
+        for (i, (p, reg)) in hot.iter().enumerate() {
+            assert!(
+                cache.stats(p, reg).is_some(),
+                "round {k}: hot program {i} was evicted before a cold one"
+            );
+        }
+        if k > 0 {
+            let (p, reg) = &cold[k - 1];
+            assert!(
+                cache.stats(p, reg).is_none(),
+                "round {k}: the cold program goes first"
+            );
+        }
+        assert!(
+            cache.stats(p, reg).is_some(),
+            "round {k}: the new program is resident"
+        );
+    }
+}
+
 #[test]
 fn stress_tight_deadlines_and_a_small_queue_never_hang_or_panic() {
+    // Serialized like every test here that interns through the global
+    // cache, so the cache tests above see only their own programs.
+    let _guard = serialized();
     const WORKERS: usize = 8;
     const REQUESTS: usize = 12;
     let program = parse_program(SRC).unwrap();

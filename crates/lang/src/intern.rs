@@ -210,8 +210,25 @@ pub fn write_register(h: &mut StructuralHasher, reg: &Register) {
     }
 }
 
+thread_local! {
+    static FINGERPRINTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many fingerprints [`program_fingerprint`] and
+/// [`multiset_fingerprint`] have computed **on this thread** — the probe
+/// behind "a warm cache lookup hashes nothing". A test thread's delta
+/// across a region counts the fingerprints that region computed on it.
+pub fn fingerprint_invocations() -> usize {
+    FINGERPRINTS.with(std::cell::Cell::get)
+}
+
+fn count_fingerprint() {
+    FINGERPRINTS.with(|c| c.set(c.get() + 1));
+}
+
 /// The structural fingerprint of one program over a register.
 pub fn program_fingerprint(stmt: &Stmt, reg: &Register) -> u64 {
+    count_fingerprint();
     let mut h = StructuralHasher::new();
     write_register(&mut h, reg);
     write_stmt(&mut h, stmt);
@@ -221,6 +238,7 @@ pub fn program_fingerprint(stmt: &Stmt, reg: &Register) -> u64 {
 /// The structural fingerprint of a compiled multiset (an ordered program
 /// list) over a register — the cache key of `qdp_ad`'s `ProgramCache`.
 pub fn multiset_fingerprint(programs: &[Stmt], reg: &Register) -> u64 {
+    count_fingerprint();
     let mut h = StructuralHasher::new();
     write_register(&mut h, reg);
     h.write_u64(programs.len() as u64);

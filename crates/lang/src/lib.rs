@@ -47,6 +47,8 @@ pub mod superop;
 pub mod wf;
 
 pub use ast::{Angle, Gate, Params, Stmt, Var};
-pub use intern::{multiset_fingerprint, program_fingerprint, StructuralHasher};
+pub use intern::{
+    fingerprint_invocations, multiset_fingerprint, program_fingerprint, StructuralHasher,
+};
 pub use parser::parse_program;
 pub use register::Register;

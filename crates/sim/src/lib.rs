@@ -70,5 +70,5 @@ pub use sampling::{
     chernoff_shots, collapse_with_draw, derive_seed, try_chernoff_shots, ProjectiveObservable,
     ShotSampler,
 };
-pub use shots::{ShotEngine, TrajProgram, TrajectoryRow, BRANCH_PRUNE, SHOT_TILE};
+pub use shots::{GateTable, ShotEngine, TrajProgram, TrajectoryRow, BRANCH_PRUNE, SHOT_TILE};
 pub use state::StateVector;

@@ -61,6 +61,7 @@ use crate::observable::Observable;
 use crate::sampling::{collapse_with_draw, ProjectiveObservable, ShotSampler};
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
+use std::borrow::Cow;
 
 /// Rows per parallel shot tile of [`ShotEngine::estimate_expectation`].
 ///
@@ -82,6 +83,9 @@ pub const EXACT_TILE: usize = 8;
 enum TrajOp {
     /// An operator application with the matrix already built.
     Gate { matrix: Matrix, targets: Vec<usize> },
+    /// An operator application whose matrix is entry `entry` of the
+    /// [`GateTable`] the sweep runs with.
+    TableGate { entry: usize, targets: Vec<usize> },
     /// `q := |0⟩`, sampled: measure `q` and flip on outcome 1.
     Init {
         meas: Measurement,
@@ -97,8 +101,75 @@ enum TrajOp {
     Abort,
 }
 
+impl TrajOp {
+    /// The matrix and targets of a `Gate` or `TableGate` op, table gates
+    /// reading `table`.
+    #[inline]
+    fn gate<'a>(&'a self, table: GateTable<'a>) -> (&'a Matrix, &'a [usize]) {
+        match self {
+            TrajOp::Gate { matrix, targets } => (matrix, targets),
+            TrajOp::TableGate { entry, targets } => (table.get(*entry), targets),
+            _ => unreachable!("only gate ops carry a matrix"),
+        }
+    }
+}
+
+/// The matrices the table gates of a [`TrajProgram`] read during one
+/// sweep: entry `e` is `matrices[e]`, or `matrices[index[e]]` for a
+/// remapped table. A compiled program keeps one template whose
+/// parameterised gates are table gates; each valuation builds its table
+/// once and sweeps the template in place.
+#[derive(Clone, Copy, Debug)]
+pub struct GateTable<'a> {
+    matrices: &'a [Matrix],
+    index: Option<&'a [usize]>,
+}
+
+impl<'a> GateTable<'a> {
+    /// The table with no entries — all a program without table gates needs.
+    pub const EMPTY: GateTable<'static> = GateTable {
+        matrices: &[],
+        index: None,
+    };
+
+    /// Entry `e` is `matrices[e]`.
+    pub fn new(matrices: &'a [Matrix]) -> Self {
+        GateTable {
+            matrices,
+            index: None,
+        }
+    }
+
+    /// Entry `e` is `matrices[index[e]]`: one table shared by programs
+    /// that number their entries differently.
+    pub fn remapped(matrices: &'a [Matrix], index: &'a [usize]) -> Self {
+        GateTable {
+            matrices,
+            index: Some(index),
+        }
+    }
+
+    /// The matrix of entry `entry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table has no such entry.
+    #[inline]
+    pub fn get(&self, entry: usize) -> &'a Matrix {
+        let at = self
+            .index
+            .map_or(Some(entry), |index| index.get(entry).copied());
+        match at.and_then(|i| self.matrices.get(i)) {
+            Some(m) => m,
+            None => panic!("gate table has no entry {entry}"),
+        }
+    }
+}
+
 /// A trajectory program: the sampled-execution form of a normal program,
-/// with every matrix and measurement pre-built for a fixed valuation.
+/// with every matrix and measurement pre-built for a fixed valuation —
+/// or, for a template, with its parameterised gates reading a
+/// [`GateTable`] (see [`push_table_gate`](Self::push_table_gate)).
 ///
 /// Built either directly through the `push_*` methods or from a lowered
 /// derivative program (`qdp_ad::ResolvedProgram::to_trajectory`). The
@@ -119,6 +190,14 @@ impl TrajProgram {
     /// Appends an operator application.
     pub fn push_gate(&mut self, matrix: Matrix, targets: Vec<usize>) {
         self.ops.push(TrajOp::Gate { matrix, targets });
+    }
+
+    /// Appends an operator application whose matrix is entry `entry` of
+    /// the [`GateTable`] a sweep runs with. Only the exact sweep
+    /// ([`ShotEngine::try_expectation_sweep_with`]) takes a table; give the
+    /// other executors a [`bound`](Self::bound) copy.
+    pub fn push_table_gate(&mut self, entry: usize, targets: Vec<usize>) {
+        self.ops.push(TrajOp::TableGate { entry, targets });
     }
 
     /// Appends a `q := |0⟩` reset of qubit `target` (measure + conditional
@@ -151,36 +230,30 @@ impl TrajProgram {
         self.ops.push(TrajOp::Abort);
     }
 
-    /// Mutable access to the matrix of one `Gate` op, addressed by a path
-    /// that alternates op index and `Case`-arm index from the root:
-    /// `[i]` is `ops[i]`, `[i, a, j]` is op `j` inside arm `a` of the
-    /// `Case` at `ops[i]`, and so on. This is the slot-patching seam of the
-    /// compile-once pipeline: a cached trajectory skeleton re-substitutes
-    /// only its parameterized matrices per valuation instead of rebuilding
-    /// the whole program.
+    /// A copy with every table gate replaced by a plain gate carrying its
+    /// entry of `table` — the program every executor can run, with the
+    /// bits the template computes under `table`.
     ///
     /// # Panics
     ///
-    /// Panics when the path runs off the program or does not end on a
-    /// `Gate` op.
-    pub fn gate_matrix_mut(&mut self, path: &[usize]) -> &mut Matrix {
-        let (&op_idx, rest) = path
-            .split_first()
-            .unwrap_or_else(|| panic!("gate path must not be empty"));
-        let op = self
+    /// Panics when `table` lacks an entry a table gate reads.
+    pub fn bound(&self, table: GateTable<'_>) -> TrajProgram {
+        let ops = self
             .ops
-            .get_mut(op_idx)
-            .unwrap_or_else(|| panic!("gate path op index {op_idx} out of range"));
-        match (op, rest) {
-            (TrajOp::Gate { matrix, .. }, []) => matrix,
-            (TrajOp::Case { arms, .. }, [arm_idx, deeper @ ..]) => {
-                let arm = arms
-                    .get_mut(*arm_idx)
-                    .unwrap_or_else(|| panic!("gate path arm index {arm_idx} out of range"));
-                arm.gate_matrix_mut(deeper)
-            }
-            _ => panic!("gate path does not address a Gate op"),
-        }
+            .iter()
+            .map(|op| match op {
+                TrajOp::TableGate { entry, targets } => TrajOp::Gate {
+                    matrix: table.get(*entry).clone(),
+                    targets: targets.clone(),
+                },
+                TrajOp::Case { meas, arms } => TrajOp::Case {
+                    meas: meas.clone(),
+                    arms: arms.iter().map(|arm| arm.bound(table)).collect(),
+                },
+                other => other.clone(),
+            })
+            .collect();
+        TrajProgram { ops }
     }
 
     /// Number of top-level operations.
@@ -760,7 +833,8 @@ impl ShotEngine {
                 continue;
             }
             match &ops[i] {
-                TrajOp::Gate { matrix, targets } => {
+                op @ (TrajOp::Gate { .. } | TrajOp::TableGate { .. }) => {
+                    let (matrix, targets) = op.gate(GateTable::EMPTY);
                     psi.apply_gate(matrix, targets);
                     i += 1;
                 }
@@ -1030,15 +1104,47 @@ impl ShotEngine {
         states: BatchedStates,
         obs: &Observable,
     ) -> Result<Vec<f64>, QdpError> {
+        self.exact_sweep(GateTable::EMPTY, Cow::Owned(states), obs)
+    }
+
+    /// [`try_expectation_sweep`](Self::try_expectation_sweep) of a
+    /// template: table gates read `table`, and `states` is only read —
+    /// each tile copies its rows into a pooled block, so a warm sweep of a
+    /// shared template allocates nothing. With the table a template was
+    /// built for, the answer carries the bits of sweeping
+    /// `program().bound(table)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `table` lacks an entry a table gate reads.
+    pub fn try_expectation_sweep_with(
+        &self,
+        table: GateTable<'_>,
+        states: &BatchedStates,
+        obs: &Observable,
+    ) -> Result<Vec<f64>, QdpError> {
+        self.exact_sweep(table, Cow::Borrowed(states), obs)
+    }
+
+    /// The exact sweep behind both entry points: one tile, or fixed
+    /// [`EXACT_TILE`]-row tiles fanned out across `qdp_par`.
+    fn exact_sweep(
+        &self,
+        table: GateTable<'_>,
+        states: Cow<'_, BatchedStates>,
+        obs: &Observable,
+    ) -> Result<Vec<f64>, QdpError> {
         let total_rows = states.len();
         if total_rows == 0 {
             return Ok(Vec::new());
         }
         if total_rows <= EXACT_TILE || qdp_par::max_threads() < 2 {
-            return self.expectation_sweep_tile(states, obs);
+            let block = match states {
+                Cow::Owned(states) => states,
+                Cow::Borrowed(states) => pooled_rows(states, 0, total_rows),
+            };
+            return self.expectation_sweep_tile(table, block, obs);
         }
-        let dim = states.dim();
-        let n = states.num_qubits();
         let tiles: Vec<(usize, usize)> = (0..total_rows)
             .step_by(EXACT_TILE)
             .map(|start| (start, EXACT_TILE.min(total_rows - start)))
@@ -1047,14 +1153,7 @@ impl ShotEngine {
             &tiles,
             |&(start, rows)| {
                 crate::fault::tile_checkpoint(start / EXACT_TILE);
-                let (re, im) = states.planes();
-                let block = BatchedStates::from_raw(
-                    rows,
-                    n,
-                    re[start * dim..(start + rows) * dim].to_vec(),
-                    im[start * dim..(start + rows) * dim].to_vec(),
-                );
-                self.expectation_sweep_tile(block, obs)
+                self.expectation_sweep_tile(table, pooled_rows(&states, start, rows), obs)
             },
             TILE_RETRIES,
         )
@@ -1073,6 +1172,7 @@ impl ShotEngine {
     /// tile's inputs).
     fn expectation_sweep_tile(
         &self,
+        table: GateTable<'_>,
         states: BatchedStates,
         obs: &Observable,
     ) -> Result<Vec<f64>, QdpError> {
@@ -1089,6 +1189,7 @@ impl ShotEngine {
             let group = weighted_root(states, scratch);
             let mut sweep = ExactSweep {
                 budgets: self.budgets_for(&group),
+                table,
                 scratch,
                 flush_gate: Matrix::zeros(2, 2),
                 health: self.health,
@@ -1106,7 +1207,7 @@ impl ShotEngine {
             for orig in dedup_defects(defects) {
                 // Overwrite, not accumulate: partial leaf sums from
                 // branches that completed before the fault are discarded.
-                out[orig] = self.exact_reference_row(inputs[orig].clone(), obs);
+                out[orig] = self.exact_reference_row(table, inputs[orig].clone(), obs);
             }
         }
         Ok(out)
@@ -1118,57 +1219,10 @@ impl ShotEngine {
     /// the path [`HealthPolicy::DegradeToOracle`] re-runs defected rows
     /// on; it agrees with the branch-weighted sweep to ≪ 1e-12 (fusion
     /// and leaf-order rounding only).
-    fn exact_reference_row(&self, psi: StateVector, obs: &Observable) -> f64 {
+    fn exact_reference_row(&self, table: GateTable<'_>, psi: StateVector, obs: &Observable) -> f64 {
         let mut acc = 0.0;
-        self.exact_reference_from(&self.program.ops, Vec::new(), psi, obs, &mut acc);
+        exact_reference_from(table, &self.program.ops, Vec::new(), psi, obs, &mut acc);
         acc
-    }
-
-    fn exact_reference_from<'p>(
-        &'p self,
-        ops: &'p [TrajOp],
-        cont: Vec<&'p [TrajOp]>,
-        mut psi: StateVector,
-        obs: &Observable,
-        acc: &mut f64,
-    ) {
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                TrajOp::Gate { matrix, targets } => psi.apply_gate(matrix, targets),
-                TrajOp::Abort => return,
-                TrajOp::Init { meas, flip, target } => {
-                    let rest = &ops[i + 1..];
-                    for b in meas.branches_pure(&psi) {
-                        if b.probability <= BRANCH_PRUNE {
-                            continue;
-                        }
-                        let mut sub = b.state;
-                        if b.outcome == 1 {
-                            sub.apply_gate(flip, &[*target]);
-                        }
-                        self.exact_reference_from(rest, cont.clone(), sub, obs, acc);
-                    }
-                    return;
-                }
-                TrajOp::Case { meas, arms } => {
-                    let rest = &ops[i + 1..];
-                    for b in meas.branches_pure(&psi) {
-                        if b.probability <= BRANCH_PRUNE {
-                            continue;
-                        }
-                        let mut arm_cont = cont.clone();
-                        arm_cont.push(rest);
-                        self.exact_reference_from(&arms[b.outcome].ops, arm_cont, b.state, obs, acc);
-                    }
-                    return;
-                }
-            }
-        }
-        let mut cont = cont;
-        match cont.pop() {
-            Some(next) => self.exact_reference_from(next, cont, psi, obs, acc),
-            None => *acc += obs.expectation_pure(&psi),
-        }
     }
 
     /// The surviving leaf weights of every row of an exact sweep, in that
@@ -1190,6 +1244,7 @@ impl ShotEngine {
             let group = weighted_root(states, scratch);
             let mut sweep = ExactSweep {
                 budgets: self.budgets_for(&group),
+                table: GateTable::EMPTY,
                 scratch,
                 flush_gate: Matrix::zeros(2, 2),
                 // Diagnostic view: never health-monitored.
@@ -1322,7 +1377,8 @@ impl SampledSweep<'_> {
     ) -> Result<(), QdpError> {
         for (i, op) in ops.iter().enumerate() {
             match op {
-                TrajOp::Gate { matrix, targets } => {
+                TrajOp::Gate { .. } | TrajOp::TableGate { .. } => {
+                    let (matrix, targets) = op.gate(GateTable::EMPTY);
                     if !self.fuse {
                         // Bitwise mode: one batched kernel call streams the
                         // operator over every row, in program order.
@@ -1546,6 +1602,71 @@ impl SampledSweep<'_> {
     }
 }
 
+/// The branch enumeration of [`ShotEngine::exact_reference_row`] from
+/// `ops` on, with `cont` the suspended op slices to resume (innermost
+/// last).
+fn exact_reference_from<'p>(
+    table: GateTable<'p>,
+    ops: &'p [TrajOp],
+    cont: Vec<&'p [TrajOp]>,
+    mut psi: StateVector,
+    obs: &Observable,
+    acc: &mut f64,
+) {
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            TrajOp::Gate { .. } | TrajOp::TableGate { .. } => {
+                let (matrix, targets) = op.gate(table);
+                psi.apply_gate(matrix, targets);
+            }
+            TrajOp::Abort => return,
+            TrajOp::Init { meas, flip, target } => {
+                let rest = &ops[i + 1..];
+                for b in meas.branches_pure(&psi) {
+                    if b.probability <= BRANCH_PRUNE {
+                        continue;
+                    }
+                    let mut sub = b.state;
+                    if b.outcome == 1 {
+                        sub.apply_gate(flip, &[*target]);
+                    }
+                    exact_reference_from(table, rest, cont.clone(), sub, obs, acc);
+                }
+                return;
+            }
+            TrajOp::Case { meas, arms } => {
+                let rest = &ops[i + 1..];
+                for b in meas.branches_pure(&psi) {
+                    if b.probability <= BRANCH_PRUNE {
+                        continue;
+                    }
+                    let mut arm_cont = cont.clone();
+                    arm_cont.push(rest);
+                    exact_reference_from(table, &arms[b.outcome].ops, arm_cont, b.state, obs, acc);
+                }
+                return;
+            }
+        }
+    }
+    let mut cont = cont;
+    match cont.pop() {
+        Some(next) => exact_reference_from(table, next, cont, psi, obs, acc),
+        None => *acc += obs.expectation_pure(&psi),
+    }
+}
+
+/// Rows `start..start + rows` of `states`, copied into a block drawn from
+/// the thread's scratch arena (the sweep returns it there when the group
+/// is spent).
+fn pooled_rows(states: &BatchedStates, start: usize, rows: usize) -> BatchedStates {
+    let dim = states.dim();
+    let (mut re, mut im) = SCRATCH.with(|cell| cell.borrow_mut().take_block());
+    let (src_re, src_im) = states.planes();
+    re.extend_from_slice(&src_re[start * dim..(start + rows) * dim]);
+    im.extend_from_slice(&src_im[start * dim..(start + rows) * dim]);
+    BatchedStates::from_raw(rows, states.num_qubits(), re, im)
+}
+
 /// The root group of an exact sweep: every input row with its own squared
 /// norm as the initial weight (1 for normalised inputs), read off one
 /// block pass, with the row list and pending table drawn from the arena.
@@ -1574,6 +1695,8 @@ struct ExactSweep<'a> {
     /// branch tree in the sweep's deterministic depth-first order (see
     /// [`ShotEngine::with_mass_budget`]). All zero by default.
     budgets: Vec<f64>,
+    /// The matrices the program's table gates read.
+    table: GateTable<'a>,
     scratch: &'a mut RegroupScratch,
     /// Reusable 2×2 the pending products flush through.
     flush_gate: Matrix,
@@ -1600,7 +1723,8 @@ impl ExactSweep<'_> {
     ) -> Result<(), QdpError> {
         for (i, op) in ops.iter().enumerate() {
             match op {
-                TrajOp::Gate { matrix, targets } => {
+                TrajOp::Gate { .. } | TrajOp::TableGate { .. } => {
+                    let (matrix, targets) = op.gate(self.table);
                     if let [t] = targets[..] {
                         group.pending[t] = Some(match group.pending[t].take() {
                             None => mat2(matrix),
@@ -1976,6 +2100,7 @@ mod tests {
         for (i, op) in ops.iter().enumerate() {
             match op {
                 TrajOp::Gate { matrix, targets } => psi.apply_gate(matrix, targets),
+                TrajOp::TableGate { .. } => unreachable!("test programs carry no table gates"),
                 TrajOp::Abort => return,
                 TrajOp::Init { meas, flip, target } => {
                     for b in meas.branches_pure(&psi) {
@@ -2207,5 +2332,74 @@ mod tests {
         let engine = ShotEngine::new(TrajProgram::new());
         let mut samplers = vec![ShotSampler::seeded(1)];
         let _ = engine.run(BatchedStates::zero(2, 1), &mut samplers);
+    }
+
+    /// `branching_program` with its rotations as table gates: entry 0 is
+    /// RY(0.9), entry 1 is RY(-0.4).
+    fn table_template() -> (TrajProgram, Vec<Matrix>) {
+        let mut arm0 = TrajProgram::new();
+        arm0.push_table_gate(1, vec![1]);
+        let mut arm1 = TrajProgram::new();
+        arm1.push_gate(Matrix::pauli_x(), vec![1]);
+        arm1.push_init(0);
+        let mut p = TrajProgram::new();
+        p.push_table_gate(0, vec![0]);
+        p.push_table_gate(1, vec![0]);
+        p.push_case(Measurement::computational(vec![0]), vec![arm0, arm1]);
+        p.push_gate(Matrix::hadamard(), vec![1]);
+        p.push_table_gate(0, vec![1]);
+        (p, vec![rotation_y(0.9), rotation_y(-0.4)])
+    }
+
+    #[test]
+    fn table_gate_sweep_matches_its_bound_program_bitwise() {
+        let (template, matrices) = table_template();
+        let bound = ShotEngine::new(template.bound(GateTable::new(&matrices)));
+        let engine = ShotEngine::new(template);
+        let obs = Observable::pauli_z(2, 1);
+        // Crosses EXACT_TILE, so the tiled path runs when threads allow.
+        let rows: Vec<StateVector> = (0..EXACT_TILE + 3)
+            .map(|k| {
+                let mut psi = StateVector::basis_state(2, k % 4);
+                psi.apply_gate(&rotation_y(0.1 * k as f64), &[k % 2]);
+                psi
+            })
+            .collect();
+        let batch = BatchedStates::from_states(&rows);
+        let want = bound.expectation_sweep(batch.clone(), &obs);
+        let got = engine
+            .try_expectation_sweep_with(GateTable::new(&matrices), &batch, &obs)
+            .unwrap();
+        assert_eq!(got.len(), want.len());
+        for (r, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {r}: {a} vs {b}");
+        }
+        // A remapped table reads the same matrices through its index.
+        let shuffled = vec![matrices[1].clone(), matrices[0].clone()];
+        let remapped = engine
+            .try_expectation_sweep_with(GateTable::remapped(&shuffled, &[1, 0]), &batch, &obs)
+            .unwrap();
+        for (a, b) in remapped.iter().zip(&want) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gate table has no entry 1")]
+    fn table_gates_without_their_entry_panic() {
+        let (template, matrices) = table_template();
+        let _ = ShotEngine::new(template).try_expectation_sweep_with(
+            GateTable::new(&matrices[..1]),
+            &BatchedStates::zero(1, 2),
+            &Observable::pauli_z(2, 0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gate table has no entry 0")]
+    fn sampled_sweeps_need_a_bound_program() {
+        let (template, _) = table_template();
+        let mut samplers = vec![ShotSampler::derived(1, 0)];
+        let _ = ShotEngine::new(template).run(BatchedStates::zero(1, 2), &mut samplers);
     }
 }
