@@ -7,7 +7,7 @@
 //! tick (Lemma D.2).
 
 use crate::density::DensityMatrix;
-use crate::kernels::{left_mul, right_mul_transposed, PAR_MIN_LEN};
+use crate::kernels::{left_mul, right_mul_transposed, DENSE_PS};
 use qdp_linalg::{C64, Matrix};
 
 /// A completely positive, trace-non-increasing map given by Kraus operators
@@ -245,7 +245,9 @@ impl KrausChannel {
             term
         };
         let indices: Vec<usize> = (0..self.kraus.len()).collect();
-        let terms: Vec<Vec<C64>> = if data.len() >= PAR_MIN_LEN && self.kraus.len() > 1 {
+        // A term is a copy plus two kernel passes over the whole matrix.
+        let work = data.len().saturating_mul(3 * DENSE_PS);
+        let terms: Vec<Vec<C64>> = if work >= qdp_par::FANOUT_MIN_WORK && self.kraus.len() > 1 {
             qdp_par::par_map(&indices, branch)
         } else {
             indices.iter().map(branch).collect()

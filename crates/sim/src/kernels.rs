@@ -26,13 +26,15 @@
 //!   `|0⟩⟨0| ⊗ A + |1⟩⟨1| ⊗ B` — every controlled rotation the
 //!   differentiation gadget emits, plus `CNOT` — skip the zero blocks,
 //!   halving the multiply count.
-//! * **Parallel split.** Above [`PAR_MIN_LEN`] amplitudes the work is split
-//!   across threads via `qdp_par`: in place over contiguous aligned chunks
-//!   when the target bits lie below the chunk boundary, or by zipping the
-//!   two contiguous orbit halves in lockstep when the target is the top
-//!   bit. Every split performs the identical floating-point operations per
-//!   output element as the serial kernel, so results are bit-for-bit
-//!   deterministic regardless of thread count.
+//! * **Parallel split.** Every kernel hands its amplitudes to
+//!   [`qdp_par::par_split`] with its dispatch class's per-amplitude cost;
+//!   the split runs inline below `qdp_par::FANOUT_MIN_WORK` and otherwise
+//!   fans out over contiguous aligned chunks when the target bits lie
+//!   below the chunk boundary, or over the two contiguous orbit halves in
+//!   lockstep when the target is the top bit. Every split performs the
+//!   identical floating-point operations per output element as the serial
+//!   kernel, so results are bit-for-bit deterministic regardless of thread
+//!   count.
 //!
 //! Every fast path is validated against [`embed`] on randomised inputs to
 //! `1e-12` (see `crates/sim/tests/kernel_properties.rs`).
@@ -41,8 +43,16 @@ use crate::simd::{self, Chain1q, SimdTier};
 use qdp_linalg::{C64, Matrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Arrays at least this long may be split across threads.
-pub const PAR_MIN_LEN: usize = 1 << 14;
+/// Serial cost of one amplitude in picoseconds, per dispatch class — the
+/// work estimate `qdp_par::par_split` weighs against its fan-out
+/// threshold. Single-thread kernel replay figures on 2^19-amplitude
+/// blocks (2-core AVX-512 host), rounded up.
+pub(crate) const DENSE_PS: usize = 1_000;
+const DIAG_PS: usize = 1_000;
+const CTRL_PS: usize = 800;
+/// The general dense two-qubit kernel (a 4×4 multiply per orbit of four):
+/// not replayed, estimated at twice the dense single-qubit cost.
+const DENSE2_PS: usize = 2_000;
 
 /// When set, [`apply_matrix`] routes through [`apply_matrix_reference`] —
 /// used by benchmarks to measure end-to-end speedups of the fast paths.
@@ -210,19 +220,13 @@ fn apply_1q_with(amps: &mut [C64], mask: usize, pair: impl Fn(C64, C64) -> (C64,
             }
         }
     };
-    // Small arrays (the pure-state gradient path) never touch the parallel
-    // machinery: straight into the serial loop.
-    if amps.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-        serial(amps);
-        return;
-    }
     if amps.len() / align < 2 {
         // `mask` is the top bit (`left_mul` on row qubit 0 of a density
         // matrix is the only way here): the two orbit halves are contiguous,
         // so split and zip them in lockstep — no snapshot, each orbit
         // computed once, bit-identical to the serial loop.
         let (lo_half, hi_half) = amps.split_at_mut(mask);
-        qdp_par::par_zip_chunks_mut(lo_half, hi_half, |lo_chunk, hi_chunk| {
+        qdp_par::par_split([lo_half, hi_half], 1, DENSE_PS, |_, [lo_chunk, hi_chunk]| {
             for (lo, hi) in lo_chunk.iter_mut().zip(hi_chunk.iter_mut()) {
                 let (a, b) = pair(*lo, *hi);
                 *lo = a;
@@ -233,7 +237,7 @@ fn apply_1q_with(amps: &mut [C64], mask: usize, pair: impl Fn(C64, C64) -> (C64,
     }
     // In place over contiguous chunks: an index orbit {base, base|mask}
     // stays inside any aligned chunk of 2·mask elements.
-    qdp_par::par_chunks_mut(amps, align, |_, chunk| serial(chunk));
+    qdp_par::par_split([amps], align, DENSE_PS, |_, [chunk]| serial(chunk));
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +289,6 @@ fn apply_2q(amps: &mut [C64], n: usize, m: &Matrix, t0: usize, t1: usize) {
     let mid = (1usize << b_hi) - 1;
     let off = [0usize, mask1, mask0, mask0 | mask1];
 
-    let quarter = amps.len() >> 2;
     let body = |amps: &mut [C64], start: usize, end: usize, shift: usize| {
         for i in start..end {
             let x = ((i & !low) << 1) | (i & low);
@@ -308,20 +311,13 @@ fn apply_2q(amps: &mut [C64], n: usize, m: &Matrix, t0: usize, t1: usize) {
     };
 
     let align = 1usize << (b_hi + 1);
-    if amps.len() >= PAR_MIN_LEN && qdp_par::max_threads() > 1 && amps.len() / align >= 2 {
-        // Aligned chunks contain whole orbits: bases within a chunk start at
-        // base index offset/4 adjusted for deposited bits. Easier and just as
-        // fast: recompute the global base range per chunk.
-        qdp_par::par_chunks_mut(amps, align, |offset, chunk| {
-            // Chunks are aligned to whole orbits, and the bit-deposit map is
-            // monotone, so the chunk starting at `offset` covers exactly the
-            // base indices [offset/4, offset/4 + chunk.len()/4).
-            let first = offset >> 2;
-            body(chunk, first, first + (chunk.len() >> 2), offset);
-        });
-        return;
-    }
-    body(amps, 0, quarter, 0);
+    // Aligned chunks contain whole orbits, and the bit-deposit map is
+    // monotone, so the chunk starting at `offset` covers exactly the base
+    // indices [offset/4, offset/4 + chunk.len()/4).
+    qdp_par::par_split([amps], align, DENSE2_PS, |offset, [chunk]| {
+        let first = offset >> 2;
+        body(chunk, first, first + (chunk.len() >> 2), offset);
+    });
 }
 
 /// Applies the 2×2 blocks `a` (control clear) and `b` (control set) of a
@@ -354,11 +350,7 @@ fn apply_blockdiag_ctrl(amps: &mut [C64], cmask: usize, tmask: usize, a: [C64; 4
             chunk[base | cmask | tmask] = C64::ZERO.mul_add(b[2], s2).mul_add(b[3], s3);
         }
     };
-    if amps.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-        body(0, amps);
-    } else {
-        qdp_par::par_chunks_mut(amps, align, body);
-    }
+    qdp_par::par_split([amps], align, CTRL_PS, |offset, [chunk]| body(offset, chunk));
 }
 
 // ---------------------------------------------------------------------------
@@ -406,11 +398,7 @@ fn apply_diag(amps: &mut [C64], masks: &[usize], diag: &[C64]) {
             }
         }
     };
-    if amps.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-        body(0, amps);
-    } else {
-        qdp_par::par_chunks_mut(amps, run, body);
-    }
+    qdp_par::par_split([amps], run, DIAG_PS, |offset, [chunk]| body(offset, chunk));
 }
 
 // ---------------------------------------------------------------------------
@@ -668,17 +656,16 @@ fn apply_1q_with_planes(
         }
     }
     let align = mask << 1;
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-        sweep(re, im, mask, pair);
-        return;
-    }
     if re.len() / align < 2 {
         // `mask` is the top bit: the two orbit halves are contiguous; zip
         // all four streams in lockstep.
         let (lre, hre) = re.split_at_mut(mask);
         let (lim, him) = im.split_at_mut(mask);
-        qdp_par::par_zip4_chunks_mut(lre, lim, hre, him, move |lr, li, hr, hi| {
-            for i in 0..lr.len() {
+        let halves = [lre, lim, hre, him];
+        qdp_par::par_split(halves, 1, DENSE_PS, move |_, [lr, li, hr, hi]| {
+            let n = lr.len();
+            let (li, hr, hi) = (&mut li[..n], &mut hr[..n], &mut hi[..n]);
+            for i in 0..n {
                 let (ar, ai, br, bi) = pair(lr[i], li[i], hr[i], hi[i]);
                 lr[i] = ar;
                 li[i] = ai;
@@ -688,7 +675,9 @@ fn apply_1q_with_planes(
         });
         return;
     }
-    qdp_par::par_chunks2_mut(re, im, align, move |_, cre, cim| sweep(cre, cim, mask, pair));
+    qdp_par::par_split([re, im], align, DENSE_PS, move |_, [cre, cim]| {
+        sweep(cre, cim, mask, pair)
+    });
 }
 
 /// SIMD twin of [`apply_1q_with_planes`]: the identical serial / top-bit /
@@ -705,21 +694,18 @@ fn apply_1q_dense_simd(
 ) {
     let g = *g;
     let align = mask << 1;
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-        simd::sweep_1q(tier, re, im, mask, &g, chain);
-        return;
-    }
     if re.len() / align < 2 {
         // `mask` is the top bit: the two orbit halves are contiguous; zip
         // all four streams in lockstep.
         let (lre, hre) = re.split_at_mut(mask);
         let (lim, him) = im.split_at_mut(mask);
-        qdp_par::par_zip4_chunks_mut(lre, lim, hre, him, move |lr, li, hr, hi| {
+        let halves = [lre, lim, hre, him];
+        qdp_par::par_split(halves, 1, DENSE_PS, move |_, [lr, li, hr, hi]| {
             simd::run_1q(tier, lr, li, hr, hi, &g, chain);
         });
         return;
     }
-    qdp_par::par_chunks2_mut(re, im, align, move |_, cre, cim| {
+    qdp_par::par_split([re, im], align, DENSE_PS, move |_, [cre, cim]| {
         simd::sweep_1q(tier, cre, cim, mask, &g, chain)
     });
 }
@@ -766,7 +752,6 @@ fn apply_2q_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, t0: usi
     let mid = (1usize << b_hi) - 1;
     let off = [0usize, mask1, mask0, mask0 | mask1];
 
-    let quarter = re.len() >> 2;
     let body = |cre: &mut [f64], cim: &mut [f64], start: usize, end: usize, shift: usize| {
         for i in start..end {
             let x = ((i & !low) << 1) | (i & low);
@@ -810,22 +795,14 @@ fn apply_2q_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, t0: usi
     };
 
     let align = 1usize << (b_hi + 1);
-    if re.len() >= PAR_MIN_LEN && qdp_par::max_threads() > 1 && re.len() / align >= 2 {
-        qdp_par::par_chunks2_mut(re, im, align, |offset, cre, cim| {
-            let first = offset >> 2;
-            if simd_runs {
-                simd_body(cre, cim, first, first + (cre.len() >> 2), offset);
-            } else {
-                body(cre, cim, first, first + (cre.len() >> 2), offset);
-            }
-        });
-        return;
-    }
-    if simd_runs {
-        simd_body(re, im, 0, quarter, 0);
-    } else {
-        body(re, im, 0, quarter, 0);
-    }
+    qdp_par::par_split([re, im], align, DENSE2_PS, |offset, [cre, cim]| {
+        let first = offset >> 2;
+        if simd_runs {
+            simd_body(cre, cim, first, first + (cre.len() >> 2), offset);
+        } else {
+            body(cre, cim, first, first + (cre.len() >> 2), offset);
+        }
+    });
 }
 
 /// Plane twin of [`apply_blockdiag_ctrl`], restructured into contiguous
@@ -854,14 +831,9 @@ fn apply_blockdiag_ctrl_planes(
     // alternating `cmask`-length segments. Route whole chunks through the
     // SIMD segment sweep (chunks are `2·cmask`-aligned either way).
     if tmask == 1 && tier != SimdTier::Scalar {
-        let body = move |_: usize, cre: &mut [f64], cim: &mut [f64]| {
+        qdp_par::par_split([re, im], align, CTRL_PS, move |_, [cre, cim]| {
             simd::sweep_blockdiag_t1(tier, cre, cim, cmask, &a, &b, identity_a);
-        };
-        if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-            body(0, re, im);
-        } else {
-            qdp_par::par_chunks2_mut(re, im, align, body);
-        }
+        });
         return;
     }
 
@@ -994,16 +966,10 @@ fn apply_blockdiag_ctrl_planes(
         }
     };
 
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-        if use_simd {
-            body_simd(0, re, im);
-        } else {
-            body(0, re, im);
-        }
-    } else if use_simd {
-        qdp_par::par_chunks2_mut(re, im, align, body_simd);
+    if use_simd {
+        qdp_par::par_split([re, im], align, CTRL_PS, |off, [cre, cim]| body_simd(off, cre, cim));
     } else {
-        qdp_par::par_chunks2_mut(re, im, align, body);
+        qdp_par::par_split([re, im], align, CTRL_PS, |off, [cre, cim]| body(off, cre, cim));
     }
 }
 
@@ -1055,17 +1021,12 @@ fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C6
         // Larger runs are contiguous scales the autovectorizer handles.
         let tier = simd::active_tier();
         if run == 1 && tier != SimdTier::Scalar && simd::diag1_vectorizable(d0, d1) {
-            let body = move |_: usize, cre: &mut [f64], cim: &mut [f64]| {
+            qdp_par::par_split([re, im], 2, DIAG_PS, move |_, [cre, cim]| {
                 simd::sweep_diag1(tier, cre, cim, d0, d1);
-            };
-            if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-                body(0, re, im);
-            } else {
-                qdp_par::par_chunks2_mut(re, im, 2, body);
-            }
+            });
             return;
         }
-        let body = move |_: usize, cre: &mut [f64], cim: &mut [f64]| {
+        qdp_par::par_split([re, im], run << 1, DIAG_PS, move |_, [cre, cim]| {
             let block = run << 1;
             for (bre, bim) in cre.chunks_exact_mut(block).zip(cim.chunks_exact_mut(block)) {
                 let (lre, hre) = bre.split_at_mut(run);
@@ -1073,12 +1034,7 @@ fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C6
                 scale_run(lre, lim, d0);
                 scale_run(hre, him, d1);
             }
-        };
-        if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-            body(0, re, im);
-        } else {
-            qdp_par::par_chunks2_mut(re, im, run << 1, body);
-        }
+        });
         return;
     }
 
@@ -1118,11 +1074,7 @@ fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C6
             }
         }
     };
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
-        body(0, re, im);
-    } else {
-        qdp_par::par_chunks2_mut(re, im, run, body);
-    }
+    qdp_par::par_split([re, im], run, DIAG_PS, |offset, [cre, cim]| body(offset, cre, cim));
 }
 
 fn apply_kq_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, targets: &[usize]) {
@@ -1532,7 +1484,8 @@ mod tests {
     /// and the 2q chunked path.
     #[test]
     fn plane_kernels_match_aos_bitwise_above_parallel_threshold() {
-        let n = 15; // 2^15 = 32768 ≥ PAR_MIN_LEN
+        // 2^17 amplitudes × every class cost ≥ FANOUT_MIN_WORK: chunked.
+        let n = 17;
         let gates: Vec<(Matrix, Vec<usize>)> = vec![
             (Matrix::hadamard(), vec![n - 1]), // low bit → aligned chunks
             (Matrix::hadamard(), vec![0]),     // top bit → zip halves
@@ -1553,6 +1506,42 @@ mod tests {
             let (mut re, mut im) = split(&amps);
             apply_matrix_planes(&mut re, &mut im, n, g, targets);
             assert_planes_eq(&re, &im, &aos, &format!("{targets:?}"));
+        }
+    }
+
+    /// A gate on the low 14 qubits of a 2^17-amplitude state acts on its
+    /// eight 2^14-amplitude blocks independently: the chunked split of the
+    /// whole state must carry the bits of eight inline calls, one per block
+    /// (each below the fan-out work threshold).
+    #[test]
+    fn chunked_split_matches_inline_per_block_application() {
+        let (n, low) = (17, 14);
+        assert!((1usize << n) * CTRL_PS >= qdp_par::FANOUT_MIN_WORK);
+        assert!((1usize << low) * DENSE2_PS < qdp_par::FANOUT_MIN_WORK);
+        let xx = Matrix::rotation_from_involution(&Matrix::pauli_x().kron(&Matrix::pauli_x()), 0.5);
+        let zz = Matrix::rotation_from_involution(&Matrix::pauli_z().kron(&Matrix::pauli_z()), 0.7);
+        let gates: Vec<(Matrix, Vec<usize>)> = vec![
+            (Matrix::hadamard(), vec![n - 1]),
+            (Matrix::hadamard(), vec![n - low]),
+            (Matrix::rotation_from_involution(&Matrix::pauli_z(), 0.3), vec![n - 4]),
+            (Matrix::cnot(), vec![n - low, n - 1]),
+            (Matrix::cnot(), vec![n - low, n - 2]),
+            (Matrix::cnot(), vec![n - 1, n - 5]),
+            (zz, vec![n - low, n - 1]),
+            (xx, vec![n - low + 1, n - 2]),
+        ];
+        let amps = rand_amps(n, 11);
+        for (g, targets) in &gates {
+            let (mut re, mut im) = split(&amps);
+            apply_matrix_planes(&mut re, &mut im, n, g, targets);
+            let local: Vec<usize> = targets.iter().map(|t| t - (n - low)).collect();
+            let (mut bre, mut bim) = split(&amps);
+            for (cre, cim) in bre.chunks_mut(1 << low).zip(bim.chunks_mut(1 << low)) {
+                apply_matrix_planes(cre, cim, low, g, &local);
+            }
+            let ctx = format!("{targets:?}");
+            assert!(re.iter().zip(&bre).all(|(a, b)| a.to_bits() == b.to_bits()), "re {ctx}");
+            assert!(im.iter().zip(&bim).all(|(a, b)| a.to_bits() == b.to_bits()), "im {ctx}");
         }
     }
 

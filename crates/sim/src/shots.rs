@@ -509,10 +509,10 @@ impl RegroupScratch {
 }
 
 thread_local! {
-    /// The per-thread regroup arena. The serial paths (and every sweep on
-    /// a 1-thread configuration) keep their pools warm across calls; a
-    /// fresh `qdp_par` scoped worker starts cold and warms within its
-    /// first fork.
+    /// The per-thread regroup arena. Every thread that sweeps — the
+    /// callers and the persistent `qdp_par` pool workers alike — keeps its
+    /// pools warm across calls; a worker starts cold only on its first
+    /// fork after the pool starts it.
     static SCRATCH: std::cell::RefCell<RegroupScratch> =
         std::cell::RefCell::new(RegroupScratch::default());
 }

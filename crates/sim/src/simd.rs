@@ -1091,7 +1091,7 @@ mod x86 {
     }
 
     /// One contiguous dense-1q run over four explicit disjoint streams —
-    /// the top-bit `par_zip4_chunks_mut` shape and the block-diagonal
+    /// the top-bit four-slice `qdp_par::par_split` shape and the block-diagonal
     /// sub-run shape.
     pub(crate) fn run_1q(
         tier: SimdTier,
